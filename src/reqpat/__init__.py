@@ -49,7 +49,6 @@ from .patterns import (
     Fails,
     Globally,
     Holds,
-    Inconclusive,
     Pattern,
     Precedence,
     PrecedenceChain,

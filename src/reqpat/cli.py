@@ -40,7 +40,10 @@ def _fail(message: str) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SuiteError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_suite_file(path: str) -> Suite:
@@ -234,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code == 0:
             raise
         return EXIT_USAGE
-    if args.command == "drive" and args.bound < 0:
+    if args.command in ("drive", "demo") and args.bound < 0:
         return _fail("--bound must be >= 0")
     return args.func(args)
 

@@ -162,18 +162,7 @@ class Fails:
     reason: str = field(default="", compare=False)
 
 
-@dataclass(frozen=True)
-class Inconclusive:
-    # Reserved for verdicts that a finite trace cannot settle; the trace-mode
-    # checker itself is total and never produces it.
-    reason: str = field(default="", compare=False)
-
-
-Verdict = Holds | Fails | Inconclusive
-
-
-def _truth(cond: Condition, trace: Trace, lo: int, hi: int) -> list[bool]:
-    return [eval_condition(cond, trace[k]) for k in range(lo, hi)]
+Verdict = Holds | Fails
 
 
 def _first_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
@@ -181,6 +170,27 @@ def _first_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | 
         if eval_condition(cond, trace[k]):
             return k
     return None
+
+
+def _last_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
+    for k in range(stop - 1, start - 1, -1):
+        if eval_condition(cond, trace[k]):
+            return k
+    return None
+
+
+def _answered_below(pattern: Response | ResponseChain, trace: Trace, first: int, hi: int) -> int:
+    """The least position from `first` on whose trigger goes unanswered: one
+    backward pass places the answer (each chain link) as late as possible."""
+    if isinstance(pattern, Response):
+        last = _last_index(pattern.s, trace, first, hi)
+        return first if last is None else last + (not pattern.strict)
+    cursor = hi
+    for link in reversed(pattern.chain):
+        cursor = _last_index(link, trace, first + 1, cursor)
+        if cursor is None:
+            return first
+    return cursor
 
 
 def segments(scope: Scope, trace: Trace) -> list[Segment]:
@@ -247,6 +257,11 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
     PrecedenceChain; Absence, Universality and BoundedExistence are vacuous
     exactly on empty segments; Existence is never vacuous (and fails on an
     empty segment, which offers no witness position).
+
+    Every pattern is decided in time linear in the segment length. For
+    Response and ResponseChain, one backward pass places the answer (each
+    chain link) as late as possible; that bounds the answerable triggers, so
+    the verdict is the first trigger at or beyond the bound, if any.
     """
     lo, hi = _checked_segment(segment, trace)
     empty = lo == hi
@@ -284,40 +299,21 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
     if isinstance(pattern, Precedence):
         first_s = _first_index(pattern.s, trace, lo, hi)
         limit = hi if first_s is None else first_s
-        triggered = False
-        for k in range(lo, limit):
-            if eval_condition(pattern.p, trace[k]):
-                return Fails(0, k, "condition occurs before its required precedent")
-        for k in range(limit, hi):
-            if eval_condition(pattern.p, trace[k]):
-                triggered = True
-                break
-        return Holds(vacuous=not triggered)
+        early = _first_index(pattern.p, trace, lo, limit)
+        if early is not None:
+            return Fails(0, early, "condition occurs before its required precedent")
+        return Holds(vacuous=_first_index(pattern.p, trace, limit, hi) is None)
 
-    if isinstance(pattern, Response):
-        triggered = False
-        for k in range(lo, hi):
-            if not eval_condition(pattern.p, trace[k]):
-                continue
-            triggered = True
-            start = k + 1 if pattern.strict else k
-            if _first_index(pattern.s, trace, start, hi) is None:
-                return Fails(0, k, "trigger is never answered within the segment")
-        return Holds(vacuous=not triggered)
-
-    if isinstance(pattern, ResponseChain):
-        triggered = False
-        for k in range(lo, hi):
-            if not eval_condition(pattern.p, trace[k]):
-                continue
-            triggered = True
-            cursor = k
-            for link in pattern.chain:
-                nxt = _first_index(link, trace, cursor + 1, hi)
-                if nxt is None:
-                    return Fails(0, k, "trigger is not followed by the full chain")
-                cursor = nxt
-        return Holds(vacuous=not triggered)
+    if isinstance(pattern, (Response, ResponseChain)):
+        first = _first_index(pattern.p, trace, lo, hi)
+        if first is None:
+            return Holds(vacuous=True)
+        failing = _first_index(pattern.p, trace, _answered_below(pattern, trace, first, hi), hi)
+        if failing is None:
+            return Holds(vacuous=False)
+        if isinstance(pattern, Response):
+            return Fails(0, failing, "trigger is never answered within the segment")
+        return Fails(0, failing, "trigger is not followed by the full chain")
 
     if isinstance(pattern, PrecedenceChain):
         first_p = _first_index(pattern.p, trace, lo, hi)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -11,9 +12,15 @@ from reqpat.patterns import (
     AfterUntil,
     Before,
     Between,
+    Fails,
     Globally,
+    Holds,
+    Requirement,
+    Response,
     Scope,
+    Verdict,
     eval_condition,
+    segments,
 )
 from reqpat import ltl
 
@@ -109,3 +116,37 @@ def brute_precedence_chain_holds(trace: Trace, chain, p, segment) -> bool:
     if first_p is None:
         return True
     return chain_positions_exist(trace, chain, lo - 1, first_p)
+
+
+def reference_response_verdict(pattern, trace: Trace, segment) -> Verdict:
+    """Response and ResponseChain on one segment, straight from their
+    definition: every trigger rescans forward for its own answer, so this is
+    quadratic in the segment length. The reference for evaluate_pattern."""
+    lo, hi = segment
+    triggered = False
+    for k in range(lo, hi):
+        if not eval_condition(pattern.p, trace[k]):
+            continue
+        triggered = True
+        if isinstance(pattern, Response):
+            start = k + 1 if pattern.strict else k
+            if not any(eval_condition(pattern.s, trace[j]) for j in range(start, hi)):
+                return Fails(0, k, "trigger is never answered within the segment")
+            continue
+        cursor = k
+        for link in pattern.chain:
+            cursor = next((j for j in range(cursor + 1, hi) if eval_condition(link, trace[j])), None)
+            if cursor is None:
+                return Fails(0, k, "trigger is not followed by the full chain")
+    return Holds(vacuous=not triggered)
+
+
+def reference_check(req: Requirement, trace: Trace) -> Verdict:
+    """patterns.check with reference_response_verdict as the pattern semantics."""
+    verdicts = []
+    for idx, seg in enumerate(segments(req.scope, trace)):
+        verdict = reference_response_verdict(req.pattern, trace, seg)
+        if isinstance(verdict, Fails):
+            return dataclasses.replace(verdict, segment=idx)
+        verdicts.append(verdict)
+    return Holds(vacuous=all(v.vacuous for v in verdicts))

@@ -85,6 +85,18 @@ def test_check_json_agrees_with_human_output(capsys, tmp_path, clock_suite):
             assert f"{entry['name']}: FAILS" in human
 
 
+def test_check_non_utf8_input_is_usage_error(capsys, tmp_path, clock_suite):
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(b"\xff\n")
+    good_trace = trace_file(tmp_path, 3)
+    for suite, trace in ((clock_suite, str(bad)), (str(bad), good_trace)):
+        code = main(["check", "--suite", suite, "--trace", trace])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+
+
 def test_check_vacuous_only_exits_3(capsys, tmp_path):
     suite = tmp_path / "vacuous.json"
     suite.write_text(
@@ -239,6 +251,14 @@ def test_demo_is_deterministic(capsys):
 def test_demo_unknown_sut(capsys):
     code, _ = run(capsys, "demo", "kettle")
     assert code == 2
+
+
+def test_demo_negative_bound_is_usage_error(capsys):
+    code = main(["demo", "clock", "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --bound must be >= 0\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
-from reqpat.conditions import Not, Ref, Trace
+from reqpat import patterns
+from reqpat.conditions import Not, Ref, Trace, condition_atoms
 from reqpat.patterns import (
     Absence,
     After,
@@ -28,14 +30,17 @@ from reqpat.patterns import (
 )
 
 from helpers import (
+    all_traces,
     brute_precedence_chain_holds,
     brute_response_chain_holds,
     random_condition,
     random_scope,
     random_trace,
+    reference_check,
 )
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
+A, B = Ref("a"), Ref("b")
 
 
 # --- segments ---------------------------------------------------------------
@@ -226,3 +231,93 @@ def test_map_conditions_renames_every_parameter():
     renamed = map_conditions(req, lambda c: Ref(c.name + "x"))
     assert renamed.pattern == Response(Ref("px"), Ref("sx"))
     assert renamed.scope == Between(Ref("qx"), Ref("rx"))
+
+
+# --- Response and ResponseChain against the quadratic reference --------------
+
+RESPONSE_PATTERNS = [
+    Response(P, A),
+    Response(P, A, strict=True),
+    Response(P, P, strict=True),
+    ResponseChain(P, [A]),
+    ResponseChain(P, [P]),
+    ResponseChain(P, [A, A]),
+    ResponseChain(P, [P, A]),
+    ResponseChain(P, [A, B]),
+    ResponseChain(P, [A, P, A]),
+    ResponseChain(P, [A, B, A]),
+]
+# The delimiters of the last two scopes are answer atoms too, so answers also
+# fall on segment boundaries.
+RESPONSE_SCOPES = [Globally(), Before(B), After(B), Between(B, A), AfterUntil(A, B)]
+
+
+def _atoms_read(req: Requirement) -> list[str]:
+    atoms = set()
+
+    def collect(cond):
+        atoms.update(condition_atoms(cond))
+        return cond
+
+    map_conditions(req, collect)
+    return sorted(atoms)
+
+
+def _same_verdict(got, want) -> bool:
+    # Fails leaves its reason out of ==, so compare every field explicitly.
+    return type(got) is type(want) and dataclasses.astuple(got) == dataclasses.astuple(want)
+
+
+@pytest.mark.parametrize("scope", RESPONSE_SCOPES, ids=lambda s: type(s).__name__)
+def test_response_patterns_match_reference_on_every_short_trace(scope):
+    """Every trace up to length 4 over p, a, b, c, up to the atoms that a
+    requirement does not read: a requirement sees a trace only through its
+    own atoms, so enumerating those covers the rest."""
+    for pattern in RESPONSE_PATTERNS:
+        req = Requirement("r", pattern, scope)
+        for trace in all_traces(_atoms_read(req), 4, min_len=0):
+            got, want = check(req, trace), reference_check(req, trace)
+            assert _same_verdict(got, want), (pattern, scope, trace)
+
+
+def test_response_patterns_match_reference_on_random_traces():
+    rng = random.Random(20261018)
+    atoms = ("p", "a", "b", "c")
+    for _ in range(4000):
+        trace = random_trace(rng, atoms, max_len=40)
+        p = random_condition(rng, atoms, depth=1)
+        chain = [rng.choice([p, random_condition(rng, atoms, depth=1)]) for _ in range(rng.randint(1, 3))]
+        pattern = rng.choice(
+            [Response(p, chain[0]), Response(p, chain[0], strict=True), ResponseChain(p, chain)]
+        )
+        req = Requirement("r", pattern, random_scope(rng, atoms))
+        got, want = check(req, trace), reference_check(req, trace)
+        assert _same_verdict(got, want), (req, trace)
+
+
+@pytest.mark.parametrize(
+    "pattern, verdict",
+    [
+        (Response(P, S), Holds(vacuous=False)),
+        (Response(P, S, strict=True), Holds(vacuous=False)),
+        (ResponseChain(P, [S]), Holds(vacuous=False)),
+        (ResponseChain(P, [P, S]), Fails(0, 4999)),
+        (ResponseChain(P, [P, P, S]), Fails(0, 4998)),
+    ],
+)
+def test_response_patterns_evaluate_conditions_linearly(monkeypatch, pattern, verdict):
+    """On p x 5,000 then s, the rescan per trigger makes about n^2/2 calls;
+    the backward pass stays within a few calls per state."""
+    trace = Trace.of(*[{"p"}] * 5000, {"s"})
+    calls = 0
+    inner = patterns.eval_condition
+
+    def counting(cond, state):
+        nonlocal calls
+        calls += 1
+        return inner(cond, state)
+
+    monkeypatch.setattr(patterns, "eval_condition", counting)
+    assert check(Requirement("r", pattern, Globally()), trace) == verdict
+    per_state = 3 if isinstance(pattern, Response) else 2 + len(pattern.chain)
+    assert calls <= per_state * len(trace)
