@@ -39,6 +39,8 @@ from .harness import (
     record,
 )
 from .patterns import (
+    PATTERNS,
+    SCOPES,
     Absence,
     After,
     AfterUntil,
@@ -60,7 +62,6 @@ from .patterns import (
     Universality,
     Verdict,
     check,
-    count_blocks,
     evaluate_pattern,
     segments,
 )

@@ -11,17 +11,12 @@ from __future__ import annotations
 from importlib import resources
 
 from .conditions import Ref, State
-from .patterns import Existence, Globally, Requirement, Response, TraceLinks
-from .suite import Suite
+from .suite import Suite, load_suite
 
 MIDNIGHT_ATOM = "at_2400"
 MIDNIGHT = Ref(MIDNIGHT_ATOM)
 
 _LAST_MINUTE = 1440
-
-_SOURCE_URL = "https://simple.wikipedia.org/wiki/24-hour_clock"
-_SOURCE_QUOTE = "the day runs from midnight to midnight"
-_REPO_URL = "https://example.org/clock-requirements"
 
 
 class Clock:
@@ -60,23 +55,7 @@ def builtin_suite() -> Suite:
     the drive-mode demo exercises, and STATEMENT_0 is the reachability
     requirement whose establishment the response verification relies on.
     """
-    statement_0 = Requirement(
-        name="STATEMENT_0",
-        pattern=Existence(MIDNIGHT),
-        scope=Globally(),
-        meta=TraceLinks(repo_url=f"{_REPO_URL}/statement_0"),
-    )
-    statement_1_1 = Requirement(
-        name="STATEMENT_1_1",
-        pattern=Response(MIDNIGHT, MIDNIGHT, strict=True),
-        scope=Globally(),
-        meta=TraceLinks(
-            source_url=_SOURCE_URL,
-            source_quote=_SOURCE_QUOTE,
-            repo_url=f"{_REPO_URL}/statement_1_1",
-        ),
-    )
-    return Suite(conditions={"midnight": MIDNIGHT}, requirements=[statement_0, statement_1_1])
+    return load_suite(builtin_suite_text())
 
 
 def builtin_suite_text() -> str:

@@ -160,9 +160,16 @@ class ConditionSyntaxError(ValueError):
         self.position = position
 
 
+# Nesting bound of the parser, and so of every condition loaded from text.
+# Hashing, comparing and printing a condition recurse through the interpreter
+# at up to three stack levels per operator; the bound keeps all of them well
+# inside its default recursion limit.
+MAX_NESTING = 200
+
+
 def parse_condition(text: str) -> Condition:
     parser = _ConditionParser(text)
-    expr = parser.parse_or()
+    expr = parser.parse_or(0)
     parser.expect_end()
     return expr
 
@@ -183,23 +190,26 @@ class _ConditionParser:
             return True
         return False
 
-    def parse_or(self) -> Condition:
-        left = self.parse_and()
+    def parse_or(self, depth: int) -> Condition:
+        left = self.parse_and(depth + 1)
         if self._accept("||"):
-            return Or(left, self.parse_or())
+            return Or(left, self.parse_or(depth + 1))
         return left
 
-    def parse_and(self) -> Condition:
-        left = self.parse_unary()
+    def parse_and(self, depth: int) -> Condition:
+        left = self.parse_unary(depth + 1)
         if self._accept("&&"):
-            return And(left, self.parse_and())
+            return And(left, self.parse_and(depth + 1))
         return left
 
-    def parse_unary(self) -> Condition:
+    def parse_unary(self, depth: int) -> Condition:
+        # Every descent of the parser passes through here.
+        if depth > MAX_NESTING:
+            raise ConditionSyntaxError("condition nests too deeply", self.pos)
         if self._accept("!"):
-            return Not(self.parse_unary())
+            return Not(self.parse_unary(depth + 1))
         if self._accept("("):
-            inner = self.parse_or()
+            inner = self.parse_or(depth + 1)
             if not self._accept(")"):
                 raise ConditionSyntaxError("expected ')'", self.pos)
             return inner

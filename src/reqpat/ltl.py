@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .conditions import ATOM_RE, Condition, Const, Ref, Trace
+from .conditions import ATOM_RE, Condition, Const, Ref, Trace, require_atom
 from .conditions import And as CondAnd
 from .conditions import Not as CondNot
 from .conditions import Or as CondOr
@@ -66,8 +66,7 @@ class Prop(Formula):
     name: str
 
     def __post_init__(self) -> None:
-        if not ATOM_RE.fullmatch(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
+        require_atom(self.name)
 
 
 @dataclass(frozen=True)

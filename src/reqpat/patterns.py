@@ -11,6 +11,7 @@ requirements rather than a verified system.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 from .conditions import Condition, Trace, eval_condition
@@ -81,7 +82,7 @@ class BoundedExistence(Pattern):
 
     def __post_init__(self) -> None:
         if self.k < 0:
-            raise ValueError(f"bound must be >= 0, got {self.k}")
+            raise ValueError("'k' must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,32 +102,57 @@ class Response(Pattern):
     strict: bool = False
 
 
-@dataclass(frozen=True, init=False)
+def _seal_chain(pattern: ResponseChain | PrecedenceChain) -> None:
+    object.__setattr__(pattern, "chain", tuple(pattern.chain))
+    if not pattern.chain:
+        raise ValueError("'chain' must be a nonempty array of names")
+
+
+@dataclass(frozen=True)
 class ResponseChain(Pattern):
     """Every p is followed, in order and strictly after it, by the chain."""
 
     p: Condition
     chain: tuple[Condition, ...]
 
-    def __init__(self, p: Condition, chain):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "chain", tuple(chain))
-        if not self.chain:
-            raise ValueError("chain must be nonempty")
+    def __post_init__(self) -> None:
+        _seal_chain(self)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PrecedenceChain(Pattern):
     """The first p, if any, is preceded, in order, by the chain."""
 
     chain: tuple[Condition, ...]
     p: Condition
 
-    def __init__(self, chain, p: Condition):
-        object.__setattr__(self, "chain", tuple(chain))
-        object.__setattr__(self, "p", p)
-        if not self.chain:
-            raise ValueError("chain must be nonempty")
+    def __post_init__(self) -> None:
+        _seal_chain(self)
+
+
+# The catalogue: every pattern and scope variant under its JSON tag. A
+# variant's parameters are its dataclass fields; loading, dumping, mapping
+# and paraphrase are derived from them.
+PATTERNS: dict[str, type[Pattern]] = {
+    "absence": Absence,
+    "universality": Universality,
+    "existence": Existence,
+    "bounded_existence": BoundedExistence,
+    "precedence": Precedence,
+    "response": Response,
+    "response_chain": ResponseChain,
+    "precedence_chain": PrecedenceChain,
+}
+
+SCOPES: dict[str, type[Scope]] = {
+    "globally": Globally,
+    "before": Before,
+    "after": After,
+    "between": Between,
+    "after_until": AfterUntil,
+}
+
+TAGS: dict[type, str] = {cls: tag for catalogue in (PATTERNS, SCOPES) for tag, cls in catalogue.items()}
 
 
 @dataclass(frozen=True)
@@ -229,19 +255,6 @@ def segments(scope: Scope, trace: Trace) -> list[Segment]:
     raise TypeError(f"not a scope: {scope!r}")
 
 
-def count_blocks(p: Condition, trace: Trace, segment: Segment) -> int:
-    """Number of maximal runs of consecutive p-positions within the segment."""
-    lo, hi = _checked_segment(segment, trace)
-    blocks = 0
-    prev = False
-    for k in range(lo, hi):
-        cur = eval_condition(p, trace[k])
-        if cur and not prev:
-            blocks += 1
-        prev = cur
-    return blocks
-
-
 def _checked_segment(segment: Segment, trace: Trace) -> Segment:
     lo, hi = segment
     if not 0 <= lo <= hi <= len(trace):
@@ -336,39 +349,30 @@ def map_conditions(req: Requirement, fn) -> Requirement:
     Useful for re-expressing a requirement over a different alphabet, e.g.
     replacing named conditions by propositions named after them.
     """
-    pattern = req.pattern
-    if isinstance(pattern, Absence):
-        pattern = Absence(fn(pattern.p))
-    elif isinstance(pattern, Universality):
-        pattern = Universality(fn(pattern.p))
-    elif isinstance(pattern, Existence):
-        pattern = Existence(fn(pattern.p))
-    elif isinstance(pattern, BoundedExistence):
-        pattern = BoundedExistence(fn(pattern.p), pattern.k)
-    elif isinstance(pattern, Precedence):
-        pattern = Precedence(s=fn(pattern.s), p=fn(pattern.p))
-    elif isinstance(pattern, Response):
-        pattern = Response(p=fn(pattern.p), s=fn(pattern.s), strict=pattern.strict)
-    elif isinstance(pattern, ResponseChain):
-        pattern = ResponseChain(p=fn(pattern.p), chain=[fn(c) for c in pattern.chain])
-    elif isinstance(pattern, PrecedenceChain):
-        pattern = PrecedenceChain(chain=[fn(c) for c in pattern.chain], p=fn(pattern.p))
-    else:
-        raise TypeError(f"not a pattern: {pattern!r}")
+    pattern, scope = req.pattern, req.scope
+    return Requirement(
+        req.name, type(pattern)(**mapped_fields(pattern, fn)), type(scope)(**mapped_fields(scope, fn)), req.meta
+    )
 
-    scope = req.scope
-    if isinstance(scope, Before):
-        scope = Before(fn(scope.r))
-    elif isinstance(scope, After):
-        scope = After(fn(scope.q))
-    elif isinstance(scope, Between):
-        scope = Between(q=fn(scope.q), r=fn(scope.r))
-    elif isinstance(scope, AfterUntil):
-        scope = AfterUntil(q=fn(scope.q), r=fn(scope.r))
-    elif not isinstance(scope, Globally):
-        raise TypeError(f"not a scope: {scope!r}")
 
-    return dataclasses.replace(req, pattern=pattern, scope=scope)
+@functools.cache
+def parameters(cls: type) -> dict[str, dataclasses.Field]:
+    """The fields of a pattern, scope or TraceLinks class by name, in order."""
+    return {f.name: f for f in dataclasses.fields(cls)}
+
+
+def mapped_fields(variant: Pattern | Scope, fn) -> dict[str, object]:
+    """A pattern's or scope's fields by name, with `fn` applied to every
+    condition, chain links included."""
+    out = {}
+    for name in parameters(type(variant)):
+        value = getattr(variant, name)
+        if isinstance(value, Condition):
+            value = fn(value)
+        elif isinstance(value, tuple):
+            value = tuple(map(fn, value))
+        out[name] = value
+    return out
 
 
 def check(req: Requirement, trace: Trace) -> Verdict:

@@ -13,23 +13,26 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .conditions import Condition
-from .patterns import (
-    Absence,
-    After,
-    AfterUntil,
-    Before,
-    Between,
-    BoundedExistence,
-    Existence,
-    Globally,
-    Precedence,
-    PrecedenceChain,
-    Requirement,
-    Response,
-    ResponseChain,
-    Universality,
-)
+from .patterns import TAGS, Pattern, Requirement, Scope, parameters
 from .suite import Suite
+
+
+# One phrase template per catalogue tag, filled from the variant's fields.
+PHRASES: dict[str, str] = {
+    "absence": "it is never the case that {p} holds",
+    "universality": "it is always the case that {p} holds",
+    "existence": "{p} eventually holds",
+    "bounded_existence": "{p} holds in at most {k} episodes",
+    "precedence": "{s} precedes {p}",
+    "response": "{s} responds to {p}{strict}",
+    "response_chain": "{chain} respond in order to {p}",
+    "precedence_chain": "{chain} precede in order {p}",
+    "globally": "globally",
+    "before": "before {r}",
+    "after": "after {q}",
+    "between": "between {q} and {r}",
+    "after_until": "after {q} until {r}",
+}
 
 
 class PicnicError(ValueError):
@@ -51,49 +54,28 @@ def render_requirement(req: Requirement, names: Mapping[Condition, str]) -> Picn
     """Build the canonical paraphrase, naming conditions via `names`."""
 
     def name_of(cond: Condition) -> str:
-        if cond not in names:
+        name = names.get(cond)
+        if name is None:
             raise PicnicError(req.name, "a referenced condition has no display name")
-        return names[cond]
+        return name
 
-    pattern = req.pattern
-    if isinstance(pattern, Absence):
-        head = f"it is never the case that {name_of(pattern.p)} holds"
-    elif isinstance(pattern, Universality):
-        head = f"it is always the case that {name_of(pattern.p)} holds"
-    elif isinstance(pattern, Existence):
-        head = f"{name_of(pattern.p)} eventually holds"
-    elif isinstance(pattern, BoundedExistence):
-        head = f"{name_of(pattern.p)} holds in at most {pattern.k} episodes"
-    elif isinstance(pattern, Precedence):
-        head = f"{name_of(pattern.s)} precedes {name_of(pattern.p)}"
-    elif isinstance(pattern, Response):
-        head = f"{name_of(pattern.s)} responds to {name_of(pattern.p)}"
-        if pattern.strict:
-            head += " strictly"
-    elif isinstance(pattern, ResponseChain):
-        links = ", ".join(name_of(c) for c in pattern.chain)
-        head = f"{links} respond in order to {name_of(pattern.p)}"
-    elif isinstance(pattern, PrecedenceChain):
-        links = ", ".join(name_of(c) for c in pattern.chain)
-        head = f"{links} precede in order {name_of(pattern.p)}"
-    else:
-        raise PicnicError(req.name, f"no phrase for pattern {pattern!r}")
+    def phrase(variant: Pattern | Scope) -> str:
+        template = PHRASES.get(TAGS.get(type(variant)))
+        if template is None:
+            raise PicnicError(req.name, f"no phrase for {variant!r}")
+        words = {}
+        for key in parameters(type(variant)):
+            value = getattr(variant, key)
+            if isinstance(value, Condition):
+                value = name_of(value)
+            elif isinstance(value, tuple):
+                value = ", ".join(map(name_of, value))
+            elif isinstance(value, bool):  # a set flag reads as its adverb: " strictly"
+                value = f" {key}ly" if value else ""
+            words[key] = value
+        return template.format_map(words)
 
-    scope = req.scope
-    if isinstance(scope, Globally):
-        tail = "globally"
-    elif isinstance(scope, Before):
-        tail = f"before {name_of(scope.r)}"
-    elif isinstance(scope, After):
-        tail = f"after {name_of(scope.q)}"
-    elif isinstance(scope, Between):
-        tail = f"between {name_of(scope.q)} and {name_of(scope.r)}"
-    elif isinstance(scope, AfterUntil):
-        tail = f"after {name_of(scope.q)} until {name_of(scope.r)}"
-    else:
-        raise PicnicError(req.name, f"no phrase for scope {scope!r}")
-
-    return PicnicLine(name=req.name, phrase=f"{head} {tail}")
+    return PicnicLine(name=req.name, phrase=f"{phrase(req.pattern)} {phrase(req.scope)}")
 
 
 def render_suite_report(suite: Suite) -> str:

@@ -4,15 +4,17 @@ Suite files are JSON with two top-level keys:
 
 * ``conditions``: object mapping a condition name to condition text in the
   grammar ``true | false | atom | !e | e && e | e || e | (e)``, where bare
-  names are atoms observed on the system under test.
+  names are atoms observed on the system under test. The parser nests at
+  most ``conditions.MAX_NESTING`` deep.
 * ``requirements``: array of ``{name, pattern, scope, meta?}`` entries.
-  ``pattern`` is tagged by ``type`` in {absence, universality, existence,
-  bounded_existence, precedence, response, response_chain, precedence_chain}
-  with parameter fields ``p``, ``s``, ``k``, ``chain``, ``strict``; ``scope``
-  is tagged by ``type`` in {globally, before, after, between, after_until}
-  with delimiter fields ``q``, ``r``. Condition parameters refer to entries
-  of ``conditions`` by name. ``meta`` may carry ``source_url``,
-  ``source_quote`` and ``repo_url``.
+  ``pattern`` and ``scope`` are tagged by ``type``: the tags are the keys of
+  the catalogue, ``patterns.PATTERNS`` and ``patterns.SCOPES``, and the other
+  keys are fields of the tagged dataclass (``p``, ``s``, ``k``, ``chain``,
+  ``strict`` for patterns; ``q``, ``r`` for scopes), each one required
+  unless it has a default. Condition parameters refer to entries of
+  ``conditions`` by name. ``meta`` may carry the fields of ``TraceLinks``:
+  ``source_url``, ``source_quote`` and ``repo_url``. A key that is not a
+  field is rejected.
 
 A name may be defined only once: a duplicate condition or requirement name is
 the file-level contradiction signal and is always rejected.
@@ -23,9 +25,10 @@ state, atoms sorted on output. Atoms absent from a line are false.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .conditions import (
     Condition,
@@ -36,25 +39,7 @@ from .conditions import (
     is_valid_atom,
     parse_condition,
 )
-from .patterns import (
-    Absence,
-    After,
-    AfterUntil,
-    Before,
-    Between,
-    BoundedExistence,
-    Existence,
-    Globally,
-    Pattern,
-    Precedence,
-    PrecedenceChain,
-    Requirement,
-    Response,
-    ResponseChain,
-    Scope,
-    TraceLinks,
-    Universality,
-)
+from .patterns import PATTERNS, SCOPES, TAGS, Pattern, Requirement, Scope, TraceLinks, mapped_fields, parameters
 
 
 class SuiteError(ValueError):
@@ -125,12 +110,14 @@ class Suite:
 
 
 def _check_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    seen: set[str] = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise DuplicateDefinition(key)
-        seen.add(key)
-    return dict(pairs)
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DuplicateDefinition(key)
+            seen.add(key)
+    return out
 
 
 def load_suite(text: str) -> Suite:
@@ -159,7 +146,6 @@ def load_suite(text: str) -> Suite:
         raise MalformedSuite("'requirements' must be an array")
 
     requirements = []
-    names: set[str] = set()
     for index, entry in enumerate(raw_requirements):
         location = f"requirements[{index}]"
         if not isinstance(entry, dict):
@@ -167,104 +153,82 @@ def load_suite(text: str) -> Suite:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise MalformedSuite(f"{location}: missing or empty 'name'")
-        if name in names:
-            raise DuplicateDefinition(name)
-        names.add(name)
-        pattern = _load_pattern(entry.get("pattern"), conditions, f"{location}.pattern")
-        scope = _load_scope(entry.get("scope"), conditions, f"{location}.scope")
-        meta = _load_meta(entry.get("meta"), f"{location}.meta")
+        pattern = _load_variant(entry.get("pattern"), PATTERNS, "pattern", conditions, f"{location}.pattern")
+        scope = _load_variant(entry.get("scope"), SCOPES, "scope", conditions, f"{location}.scope")
+        meta = entry.get("meta")
+        if meta is None:
+            meta = TraceLinks()
+        elif isinstance(meta, dict):
+            meta = _load_fields(TraceLinks, meta, conditions, f"{location}.meta", _malformed_meta)
+        else:
+            raise MalformedSuite(f"{location}.meta: must be an object")
         requirements.append(Requirement(name=name, pattern=pattern, scope=scope, meta=meta))
 
     return Suite(conditions=conditions, requirements=requirements)
 
 
-def _resolve(raw: Any, conditions: Mapping[str, Condition], location: str) -> Condition:
+def _resolve(raw: Any, conditions: Mapping[str, Condition], location: str, field: str) -> Condition:
+    if isinstance(raw, str) and raw in conditions:
+        return conditions[raw]
+    where = f"{location}.{field}"
     if not isinstance(raw, str):
-        raise MalformedPattern(location, "condition reference must be a name string")
-    if raw not in conditions:
-        raise UnknownReference(raw, location)
-    return conditions[raw]
+        raise MalformedPattern(where, "condition reference must be a name string")
+    raise UnknownReference(raw, where)
 
 
-def _load_pattern(raw: Any, conditions: Mapping[str, Condition], location: str) -> Pattern:
+def _malformed_meta(location: str, detail: str) -> MalformedSuite:
+    return MalformedSuite(f"{location}: {detail}")
+
+
+def _load_variant(raw: Any, catalogue: Mapping[str, type], kind: str,
+                  conditions: Mapping[str, Condition], location: str) -> Pattern | Scope:
     if not isinstance(raw, dict):
         raise MalformedPattern(location, "must be an object with a 'type' tag")
-    kind = raw.get("type")
-
-    def param(field: str) -> Condition:
-        if field not in raw:
-            raise MalformedPattern(location, f"missing field {field!r}")
-        return _resolve(raw[field], conditions, f"{location}.{field}")
-
-    def chain() -> list[Condition]:
-        value = raw.get("chain")
-        if not isinstance(value, list) or not value:
-            raise MalformedPattern(location, "'chain' must be a nonempty array of names")
-        return [_resolve(item, conditions, f"{location}.chain") for item in value]
-
-    if kind == "absence":
-        return Absence(param("p"))
-    if kind == "universality":
-        return Universality(param("p"))
-    if kind == "existence":
-        return Existence(param("p"))
-    if kind == "bounded_existence":
-        k = raw.get("k")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise MalformedPattern(location, "'k' must be an integer >= 0")
-        return BoundedExistence(param("p"), k)
-    if kind == "precedence":
-        return Precedence(s=param("s"), p=param("p"))
-    if kind == "response":
-        strict = raw.get("strict", False)
-        if not isinstance(strict, bool):
-            raise MalformedPattern(location, "'strict' must be a boolean")
-        return Response(p=param("p"), s=param("s"), strict=strict)
-    if kind == "response_chain":
-        return ResponseChain(p=param("p"), chain=chain())
-    if kind == "precedence_chain":
-        return PrecedenceChain(chain=chain(), p=param("p"))
-    raise MalformedPattern(location, f"unknown pattern type {kind!r}")
+    tag = raw.get("type")
+    cls = catalogue.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise MalformedPattern(location, f"unknown {kind} type {tag!r}")
+    fields = dict(raw)
+    del fields["type"]
+    return _load_fields(cls, fields, conditions, location, MalformedPattern)
 
 
-def _load_scope(raw: Any, conditions: Mapping[str, Condition], location: str) -> Scope:
-    if not isinstance(raw, dict):
-        raise MalformedPattern(location, "must be an object with a 'type' tag")
-    kind = raw.get("type")
-
-    def param(field: str) -> Condition:
-        if field not in raw:
-            raise MalformedPattern(location, f"missing field {field!r}")
-        return _resolve(raw[field], conditions, f"{location}.{field}")
-
-    if kind == "globally":
-        return Globally()
-    if kind == "before":
-        return Before(param("r"))
-    if kind == "after":
-        return After(param("q"))
-    if kind == "between":
-        return Between(q=param("q"), r=param("r"))
-    if kind == "after_until":
-        return AfterUntil(q=param("q"), r=param("r"))
-    raise MalformedPattern(location, f"unknown scope type {kind!r}")
-
-
-def _load_meta(raw: Any, location: str) -> TraceLinks:
-    if raw is None:
-        return TraceLinks()
-    if not isinstance(raw, dict):
-        raise MalformedSuite(f"{location}: must be an object")
-    fields = {}
-    for field in ("source_url", "source_quote", "repo_url"):
-        value = raw.get(field)
-        if value is not None and not isinstance(value, str):
-            raise MalformedSuite(f"{location}.{field}: must be a string")
-        fields[field] = value
+def _load_fields(cls: type, raw: dict[str, Any], conditions: Mapping[str, Condition], location: str,
+                 error: Callable[[str, str], SuiteError]) -> Any:
+    """Build the dataclass `cls` from a JSON object with one key per field.
+    Raw values are type-checked here, because they come from outside; the
+    constraints on the values are the dataclass's own."""
+    fields = parameters(cls)
+    if not raw.keys() <= fields.keys():
+        unknown = next(key for key in raw if key not in fields)
+        raise error(location, f"unknown field {unknown!r}")
+    args = {}
+    for name, f in fields.items():
+        if name in raw:
+            args[name] = _load_value(f, raw[name], conditions, location, error)
+        elif f.default is dataclasses.MISSING:
+            raise error(location, f"missing field {name!r}")
     try:
-        return TraceLinks(**fields)
+        return cls(**args)
     except ValueError as exc:
-        raise MalformedSuite(f"{location}: {exc}") from exc
+        raise error(location, str(exc)) from exc
+
+
+def _load_value(f: dataclasses.Field, value: Any, conditions: Mapping[str, Condition], location: str,
+                error: Callable[[str, str], SuiteError]) -> Any:
+    if f.type == "Condition":
+        return _resolve(value, conditions, location, f.name)
+    if f.type == "tuple[Condition, ...]":
+        if not isinstance(value, list):
+            raise error(location, f"{f.name!r} must be a nonempty array of names")
+        return [_resolve(item, conditions, location, f.name) for item in value]
+    if f.type == "int" and type(value) is not int:
+        raise error(location, f"{f.name!r} must be an integer >= 0")
+    if f.type == "bool" and type(value) is not bool:
+        raise error(location, f"{f.name!r} must be a boolean")
+    if f.type == "str | None" and value is not None and type(value) is not str:
+        raise error(f"{location}.{f.name}", "must be a string")
+    return value
 
 
 def dump_suite(suite: Suite) -> str:
@@ -277,71 +241,20 @@ def dump_suite(suite: Suite) -> str:
             raise SuiteError(f"{where}: condition has no name in the suite")
         return names[cond]
 
-    def pattern_json(req: Requirement) -> dict[str, Any]:
-        where = f"requirement {req.name!r}"
-        pattern = req.pattern
-        if isinstance(pattern, Absence):
-            return {"type": "absence", "p": name_of(pattern.p, where)}
-        if isinstance(pattern, Universality):
-            return {"type": "universality", "p": name_of(pattern.p, where)}
-        if isinstance(pattern, Existence):
-            return {"type": "existence", "p": name_of(pattern.p, where)}
-        if isinstance(pattern, BoundedExistence):
-            return {"type": "bounded_existence", "p": name_of(pattern.p, where), "k": pattern.k}
-        if isinstance(pattern, Precedence):
-            return {"type": "precedence", "s": name_of(pattern.s, where), "p": name_of(pattern.p, where)}
-        if isinstance(pattern, Response):
-            return {
-                "type": "response",
-                "p": name_of(pattern.p, where),
-                "s": name_of(pattern.s, where),
-                "strict": pattern.strict,
-            }
-        if isinstance(pattern, ResponseChain):
-            return {
-                "type": "response_chain",
-                "p": name_of(pattern.p, where),
-                "chain": [name_of(c, where) for c in pattern.chain],
-            }
-        if isinstance(pattern, PrecedenceChain):
-            return {
-                "type": "precedence_chain",
-                "chain": [name_of(c, where) for c in pattern.chain],
-                "p": name_of(pattern.p, where),
-            }
-        raise SuiteError(f"{where}: cannot serialize pattern {pattern!r}")
-
-    def scope_json(req: Requirement) -> dict[str, Any]:
-        where = f"requirement {req.name!r}"
-        scope = req.scope
-        if isinstance(scope, Globally):
-            return {"type": "globally"}
-        if isinstance(scope, Before):
-            return {"type": "before", "r": name_of(scope.r, where)}
-        if isinstance(scope, After):
-            return {"type": "after", "q": name_of(scope.q, where)}
-        if isinstance(scope, Between):
-            return {"type": "between", "q": name_of(scope.q, where), "r": name_of(scope.r, where)}
-        if isinstance(scope, AfterUntil):
-            return {"type": "after_until", "q": name_of(scope.q, where), "r": name_of(scope.r, where)}
-        raise SuiteError(f"{where}: cannot serialize scope {scope!r}")
+    def variant_json(variant: Pattern | Scope, where: str) -> dict[str, Any]:
+        if type(variant) not in TAGS:
+            raise SuiteError(f"{where}: cannot serialize {variant!r}")
+        return {"type": TAGS[type(variant)], **mapped_fields(variant, lambda cond: name_of(cond, where))}
 
     entries = []
     for req in suite.requirements:
+        where = f"requirement {req.name!r}"
         entry: dict[str, Any] = {
             "name": req.name,
-            "pattern": pattern_json(req),
-            "scope": scope_json(req),
+            "pattern": variant_json(req.pattern, where),
+            "scope": variant_json(req.scope, where),
         }
-        meta = {
-            key: value
-            for key, value in (
-                ("source_url", req.meta.source_url),
-                ("source_quote", req.meta.source_quote),
-                ("repo_url", req.meta.repo_url),
-            )
-            if value is not None
-        }
+        meta = {key: value for key, value in dataclasses.asdict(req.meta).items() if value is not None}
         if meta:
             entry["meta"] = meta
         entries.append(entry)

@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from reqpat.cli import main
 from reqpat.clock import Clock, builtin_suite, builtin_suite_text
 from reqpat.harness import record
-from reqpat.suite import write_trace
+from reqpat.suite import MalformedCondition, load_suite, write_trace
 
 
 @pytest.fixture()
@@ -229,6 +230,74 @@ def test_load_error_exits_2(capsys, tmp_path):
     for command in (["render"], ["emit"], ["report"]):
         code, _ = run(capsys, *command, "--suite", str(bad))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "part, key, field",
+    [(1, "pattern", "stict"), (0, "scope", "q"), (1, "meta", "source_ur")],
+)
+def test_unknown_field_exits_2(capsys, tmp_path, part, key, field):
+    doc = json.loads(builtin_suite_text())
+    doc["requirements"][part][key][field] = True if field == "stict" else "midnight"
+    suite = tmp_path / "typo.json"
+    suite.write_text(json.dumps(doc))
+    code = main(["check", "--suite", str(suite), "--trace", trace_file(tmp_path, 3)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: requirements[{part}].{key}: unknown field {field!r}\n"
+
+
+def _deep_suite(tmp_path, terms: int) -> str:
+    """Two conditions with the same flat conjunction of `terms` atoms, under
+    names that are not atoms, so emit prints the conjunction itself."""
+    body = " && ".join(["a"] * terms)
+    doc = {
+        "conditions": {"deep chain": body, "same chain": body, "b": "b"},
+        "requirements": [
+            {"name": "ABSENT", "pattern": {"type": "absence", "p": "deep chain"},
+             "scope": {"type": "between", "q": "same chain", "r": "b"}},
+            {"name": "ANSWERED", "pattern": {"type": "response", "p": "deep chain", "s": "b"},
+             "scope": {"type": "globally"}},
+        ],
+    }
+    path = tmp_path / f"deep_{terms}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_condition_nesting_too_deeply_exits_2(capsys, tmp_path):
+    code = main(["check", "--suite", _deep_suite(tmp_path, 1500), "--trace", trace_file(tmp_path, 3)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: condition 'deep chain': condition nests too deeply")
+    assert captured.err.count("\n") == 1
+
+
+def test_deepest_loadable_condition_checks_and_emits(capsys, tmp_path):
+    def loads(terms: int) -> bool:
+        try:
+            load_suite(Path(_deep_suite(tmp_path, terms)).read_text())
+        except MalformedCondition:
+            return False
+        return True
+
+    lo, hi = 1, 1500
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if loads(mid) else (lo, mid)
+    suite = _deep_suite(tmp_path, lo)
+    trace = tmp_path / "ab.jsonl"
+    trace.write_text('["a"]\n["a","b"]\n["b"]\n')
+    code, out = run(capsys, "check", "--suite", suite, "--trace", str(trace))
+    assert (code, out) == (1, "ABSENT: FAILS at segment 0 position 0\nANSWERED: HOLDS\n")
+    code, out = run(capsys, "emit", "--suite", suite)
+    assert code == 0
+    assert [line.split(": ")[0] for line in out.splitlines()] == ["ABSENT", "ANSWERED"]
+    assert "unsupported" not in out and " && ".join(["a"] * lo) in out
+    for command in ("render", "report"):
+        assert run(capsys, command, "--suite", suite)[0] == 0
 
 
 # --- demo ---------------------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 
 from reqpat.clock import Clock, builtin_suite, builtin_suite_text, clock_display
 from reqpat.conditions import Ref
-from reqpat.patterns import Existence, Globally, Response
+from reqpat.patterns import Existence, Globally, Requirement, Response, TraceLinks
 from reqpat.picnic import render_requirement
-from reqpat.suite import dump_suite, load_suite
+from reqpat.suite import Suite, dump_suite, load_suite
 
 DISPLAY_RE = re.compile(r"^([01][0-9]|2[0-4]):[0-5][0-9]$")
 
@@ -69,17 +69,29 @@ def test_cycle_length_is_1440_from_every_state():
 
 
 def test_builtin_suite_shape():
-    suite = builtin_suite()
-    assert len(suite.requirements) == 2
-    assert len(suite.conditions) == 1
-    assert suite.conditions["midnight"] == Ref("at_2400")
-    first, second = suite.requirements
-    assert first.name == "STATEMENT_0"
-    assert isinstance(first.pattern, Existence)
-    assert isinstance(first.scope, Globally)
-    assert second.name == "STATEMENT_1_1"
-    assert second.pattern == Response(Ref("at_2400"), Ref("at_2400"), strict=True)
-    assert second.meta.source_quote == "the day runs from midnight to midnight"
+    midnight = Ref("at_2400")
+    repo = "https://example.org/clock-requirements"
+    assert builtin_suite() == Suite(
+        conditions={"midnight": midnight},
+        requirements=[
+            Requirement(
+                "STATEMENT_0",
+                Existence(midnight),
+                Globally(),
+                TraceLinks(repo_url=f"{repo}/statement_0"),
+            ),
+            Requirement(
+                "STATEMENT_1_1",
+                Response(midnight, midnight, strict=True),
+                Globally(),
+                TraceLinks(
+                    source_url="https://simple.wikipedia.org/wiki/24-hour_clock",
+                    source_quote="the day runs from midnight to midnight",
+                    repo_url=f"{repo}/statement_1_1",
+                ),
+            ),
+        ],
+    )
 
 
 def test_builtin_suite_picnic_phrase_mentions_response():

@@ -1,11 +1,14 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
 from reqpat import patterns
 from reqpat.conditions import Not, Ref, Trace, condition_atoms
 from reqpat.patterns import (
+    PATTERNS,
+    SCOPES,
     Absence,
     After,
     AfterUntil,
@@ -23,7 +26,6 @@ from reqpat.patterns import (
     ResponseChain,
     Universality,
     check,
-    count_blocks,
     evaluate_pattern,
     map_conditions,
     segments,
@@ -96,14 +98,19 @@ def test_segments_soundness_property():
             previous_end = hi
 
 
-# --- count_blocks -----------------------------------------------------------
+# --- BoundedExistence counts blocks ------------------------------------------
 
-def test_count_blocks():
+def test_bounded_existence_counts_blocks():
     trace = Trace.of({"p"}, {"p"}, set(), {"p"})
-    assert count_blocks(P, trace, (0, 4)) == 2
-    assert count_blocks(P, Trace.of(set(), set()), (0, 2)) == 0
-    assert count_blocks(P, Trace.of(*[{"p"}] * 5), (0, 5)) == 1
-    assert count_blocks(P, trace, (2, 2)) == 0
+    exceeded = evaluate_pattern(BoundedExistence(P, 1), trace, (0, 4))
+    assert exceeded == Fails(0, 3)
+    assert exceeded.reason == "block 2 exceeds the bound of 1"
+    assert evaluate_pattern(BoundedExistence(P, 2), trace, (0, 4)) == Holds(vacuous=False)
+    assert evaluate_pattern(BoundedExistence(P, 0), Trace.of(set(), set()), (0, 2)) == Holds(vacuous=False)
+    solid = Trace.of(*[{"p"}] * 5)
+    assert evaluate_pattern(BoundedExistence(P, 0), solid, (0, 5)) == Fails(0, 0)
+    assert evaluate_pattern(BoundedExistence(P, 1), solid, (0, 5)) == Holds(vacuous=False)
+    assert evaluate_pattern(BoundedExistence(P, 0), trace, (2, 2)) == Holds(vacuous=True)
 
 
 # --- evaluate_pattern -------------------------------------------------------
@@ -188,6 +195,21 @@ def test_chain_patterns_match_brute_force_on_random_traces():
             assert got == brute_response_chain_holds(trace, p, chain, seg)
             got = isinstance(evaluate_pattern(PrecedenceChain(chain, p), trace, seg), Holds)
             assert got == brute_precedence_chain_holds(trace, chain, p, seg)
+
+
+def test_catalogue_tags_are_the_snake_case_class_names():
+    assert list(PATTERNS) == [
+        "absence", "universality", "existence", "bounded_existence",
+        "precedence", "response", "response_chain", "precedence_chain",
+    ]
+    assert list(SCOPES) == ["globally", "before", "after", "between", "after_until"]
+    for tag, cls in {**PATTERNS, **SCOPES}.items():
+        assert re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower() == tag
+
+
+def test_chains_are_kept_as_tuples():
+    assert ResponseChain(P, [A, B]).chain == (A, B)
+    assert PrecedenceChain(iter([A]), P) == PrecedenceChain((A,), P)
 
 
 def test_chain_requires_nonempty():

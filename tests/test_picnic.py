@@ -6,6 +6,8 @@ from reqpat.clock import builtin_suite
 from reqpat.conditions import Ref
 from reqpat.ltl import emit_ltl
 from reqpat.patterns import (
+    PATTERNS,
+    SCOPES,
     Absence,
     After,
     AfterUntil,
@@ -22,7 +24,7 @@ from reqpat.patterns import (
     TraceLinks,
     Universality,
 )
-from reqpat.picnic import PicnicError, render_requirement, render_suite_report, traceability_report
+from reqpat.picnic import PHRASES, PicnicError, render_requirement, render_suite_report, traceability_report
 from reqpat.suite import Suite
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
@@ -60,6 +62,10 @@ def test_phrase_table():
     ]
     for pattern, scope, phrase in cases:
         assert render_requirement(Requirement("X", pattern, scope), NAMES).phrase == phrase
+
+
+def test_every_catalogue_variant_has_one_phrase():
+    assert set(PHRASES) == set(PATTERNS) | set(SCOPES)
 
 
 def test_missing_display_name_errors_with_requirement():

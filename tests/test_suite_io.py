@@ -1,17 +1,23 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reqpat.clock import builtin_suite
-from reqpat.conditions import And, Not, Or, Ref, Trace
+from reqpat.conditions import MAX_NESTING, And, Not, Or, Ref, Trace
 from reqpat.patterns import (
+    PATTERNS,
+    SCOPES,
     AfterUntil,
     Between,
     BoundedExistence,
     PrecedenceChain,
     Requirement,
     ResponseChain,
+    TraceLinks,
 )
 from reqpat.suite import (
     DuplicateDefinition,
@@ -80,40 +86,69 @@ def test_unknown_reference():
     assert exc_info.value.name == "noon"
 
 
+MALFORMED_PATTERNS = [
+    ({"type": "no_such_pattern", "p": "midnight"}, "unknown pattern type 'no_such_pattern'"),
+    ({"type": "existence"}, "missing field 'p'"),
+    ({"type": "bounded_existence", "p": "midnight", "k": -1}, "'k' must be an integer >= 0"),
+    ({"type": "bounded_existence", "p": "midnight", "k": "two"}, "'k' must be an integer >= 0"),
+    ({"type": "response", "p": "midnight", "s": "midnight", "strict": "yes"}, "'strict' must be a boolean"),
+    ({"type": "response_chain", "p": "midnight", "chain": []}, "'chain' must be a nonempty array of names"),
+    ("not an object", "must be an object with a 'type' tag"),
+]
+
+
+def _requirement_text(pattern, scope=None, **extra) -> str:
+    entry = {"name": "X", "pattern": pattern, "scope": scope or {"type": "globally"}, **extra}
+    return suite_text(requirements=[entry])
+
+
 @pytest.mark.parametrize(
-    "pattern",
-    [
-        {"type": "no_such_pattern", "p": "midnight"},
-        {"type": "existence"},
-        {"type": "bounded_existence", "p": "midnight", "k": -1},
-        {"type": "bounded_existence", "p": "midnight", "k": "two"},
-        {"type": "response", "p": "midnight", "s": "midnight", "strict": "yes"},
-        {"type": "response_chain", "p": "midnight", "chain": []},
-        "not an object",
-    ],
+    "pattern, detail",
+    MALFORMED_PATTERNS,
+    # The ids pytest gives these cases by default.
+    ids=[p if isinstance(p, str) else f"pattern{i}" for i, (p, _) in enumerate(MALFORMED_PATTERNS)],
 )
-def test_malformed_patterns(pattern):
-    text = suite_text(
-        requirements=[{"name": "X", "pattern": pattern, "scope": {"type": "globally"}}]
-    )
-    with pytest.raises(MalformedPattern):
-        load_suite(text)
+def test_malformed_patterns(pattern, detail):
+    with pytest.raises(MalformedPattern) as exc_info:
+        load_suite(_requirement_text(pattern))
+    assert exc_info.value.location == "requirements[0].pattern"
+    assert str(exc_info.value) == f"requirements[0].pattern: {detail}"
 
 
 def test_malformed_scope_and_condition():
-    with pytest.raises(MalformedPattern):
-        load_suite(
-            suite_text(
-                requirements=[
-                    {"name": "X", "pattern": {"type": "existence", "p": "midnight"},
-                     "scope": {"type": "sometimes"}}
-                ]
-            )
-        )
+    with pytest.raises(MalformedPattern) as exc_info:
+        load_suite(_requirement_text({"type": "existence", "p": "midnight"}, {"type": "sometimes"}))
+    assert exc_info.value.location == "requirements[0].scope"
+    assert str(exc_info.value) == "requirements[0].scope: unknown scope type 'sometimes'"
     with pytest.raises(MalformedCondition):
         load_suite(suite_text(conditions={"bad": "p &&"}))
     with pytest.raises(MalformedCondition):
         load_suite(suite_text(conditions={"bad": "9bad"}))
+
+
+def test_unknown_fields_rejected():
+    existence = {"type": "existence", "p": "midnight"}
+    with pytest.raises(MalformedPattern) as exc_info:
+        load_suite(_requirement_text({"type": "response", "p": "midnight", "s": "midnight", "stict": True}))
+    assert str(exc_info.value) == "requirements[0].pattern: unknown field 'stict'"
+    with pytest.raises(MalformedPattern) as exc_info:
+        load_suite(_requirement_text(existence, {"type": "globally", "q": "midnight"}))
+    assert str(exc_info.value) == "requirements[0].scope: unknown field 'q'"
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(_requirement_text(existence, meta={"source_ur": "https://example.org"}))
+    assert str(exc_info.value) == "requirements[0].meta: unknown field 'source_ur'"
+
+
+def test_condition_nesting_is_bounded():
+    def chain(terms: int) -> str:
+        return suite_text(requirements=[], conditions={"deep": " && ".join(["a"] * terms)})
+
+    assert "deep" in load_suite(chain(MAX_NESTING - 1)).conditions
+    with pytest.raises(MalformedCondition) as exc_info:
+        load_suite(chain(MAX_NESTING))
+    assert "condition nests too deeply" in str(exc_info.value)
+    with pytest.raises(MalformedCondition):
+        load_suite(suite_text(requirements=[], conditions={"deep": "(" * MAX_NESTING + "a" + ")" * MAX_NESTING}))
 
 
 def test_empty_source_quote_rejected():
@@ -232,3 +267,63 @@ def test_trace_round_trip_random():
 def test_trace_round_trip_includes_empty_states():
     trace = Trace.of(set(), {"p"}, set())
     assert load_trace(write_trace(trace)) == trace
+
+
+# --- loader fuzzing ---------------------------------------------------------
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False), st.text(max_size=3))
+_NAMES = st.sampled_from(["p", "q"])
+_REFERENCES = st.sampled_from(["p", "q", "unknown"])
+_VALUES = st.one_of(
+    _SCALARS,
+    _REFERENCES,
+    st.lists(st.one_of(_REFERENCES, _SCALARS), max_size=3),
+    st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2),
+)
+_WELL_TYPED = {
+    "k": st.integers(-1, 3),
+    "strict": st.booleans(),
+    "chain": st.lists(_NAMES, max_size=3),
+    "source_url": st.text(max_size=3),
+    "source_quote": st.text(max_size=3),
+    "repo_url": st.text(max_size=3),
+}
+
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from([True, False, False, False, False, False]))
+
+
+@st.composite
+def _objects(draw, catalogue, tagged=True):
+    """Mostly near-valid pattern, scope or meta objects: a tag, if `tagged`,
+    and most fields of the tagged class with well-typed values; sometimes a
+    wrong value, a foreign or missing tag, an extra key or no object at all."""
+    if _rarely(draw):
+        return draw(_VALUES)
+    if not _rarely(draw):
+        tag = draw(st.sampled_from(sorted(catalogue)))
+    else:
+        tag = draw(st.one_of(st.sampled_from([*PATTERNS, *SCOPES]), _SCALARS, st.lists(_SCALARS, max_size=2)))
+    cls = catalogue.get(tag) if isinstance(tag, str) else None
+    obj = {"type": tag} if tagged and not _rarely(draw) else {}
+    for f in dataclasses.fields(cls) if cls else ():
+        if not _rarely(draw):
+            obj[f.name] = draw(_VALUES if _rarely(draw) else _WELL_TYPED.get(f.name, _NAMES))
+    if _rarely(draw):
+        obj[draw(st.sampled_from(["p", "s", "q", "r", "k", "chain", "strict", "source_ur"]))] = draw(_VALUES)
+    return obj
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pattern=_objects(PATTERNS), scope=_objects(SCOPES), meta=st.one_of(st.none(), _objects({"meta": TraceLinks}, tagged=False)))
+def test_loader_is_total_on_generated_requirements(pattern, scope, meta):
+    """Any pattern, scope and meta object either loads or raises a SuiteError;
+    what loads dumps and loads back to the same suite."""
+    entry = {"name": "X", "pattern": pattern, "scope": scope, "meta": meta}
+    text = json.dumps({"conditions": {"p": "a", "q": "b && !a"}, "requirements": [entry]})
+    try:
+        suite = load_suite(text)
+    except SuiteError:
+        return
+    assert load_suite(dump_suite(suite)) == suite
