@@ -7,7 +7,7 @@ clock scenario).
 
 Exit codes: 0 all requirements hold; 1 at least one violation or unreached
 goal; 2 usage or load error; 3 every requirement holds but at least one only
-vacuously.
+vacuously; 4 internal error, an exception no command expected.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_VACUOUS = 3
+EXIT_INTERNAL = 4
 
 SUTS: dict[str, Callable[[], SutContract]] = {"clock": Clock}
 
@@ -239,7 +240,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     if args.command in ("drive", "demo") and args.bound < 0:
         return _fail("--bound must be >= 0")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # A defect, not a verdict: exit 1 stays reserved for violations.
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main_entry() -> None:

@@ -3,6 +3,8 @@
 A condition abstracts a named observation of the system under test: a state is
 just the set of atom names that hold at one instant, and a condition is a
 boolean expression over atom membership. Atoms absent from a state are false.
+Each condition class evaluates itself: `cond.holds(state)` is the condition's
+truth value in that state, and `eval_condition` is the checked entry point.
 """
 
 from __future__ import annotations
@@ -29,10 +31,17 @@ class Condition:
 
     __slots__ = ()
 
+    def holds(self, state: State) -> bool:
+        """The condition's truth value in one state."""
+        raise TypeError(f"not a condition: {self!r}")
+
 
 @dataclass(frozen=True)
 class Const(Condition):
     value: bool
+
+    def holds(self, state: State) -> bool:
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -42,10 +51,16 @@ class Ref(Condition):
     def __post_init__(self) -> None:
         require_atom(self.name)
 
+    def holds(self, state: State) -> bool:
+        return self.name in state.atoms
+
 
 @dataclass(frozen=True)
 class Not(Condition):
     inner: Condition
+
+    def holds(self, state: State) -> bool:
+        return not self.inner.holds(state)
 
 
 @dataclass(frozen=True)
@@ -53,11 +68,17 @@ class And(Condition):
     left: Condition
     right: Condition
 
+    def holds(self, state: State) -> bool:
+        return self.left.holds(state) and self.right.holds(state)
+
 
 @dataclass(frozen=True)
 class Or(Condition):
     left: Condition
     right: Condition
+
+    def holds(self, state: State) -> bool:
+        return self.left.holds(state) or self.right.holds(state)
 
 
 @dataclass(frozen=True, init=False)
@@ -98,17 +119,9 @@ class Trace:
 
 def eval_condition(expr: Condition, state: State) -> bool:
     """Evaluate a condition against one state. Total and deterministic."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Ref):
-        return expr.name in state.atoms
-    if isinstance(expr, Not):
-        return not eval_condition(expr.inner, state)
-    if isinstance(expr, And):
-        return eval_condition(expr.left, state) and eval_condition(expr.right, state)
-    if isinstance(expr, Or):
-        return eval_condition(expr.left, state) or eval_condition(expr.right, state)
-    raise TypeError(f"not a condition: {expr!r}")
+    if not isinstance(expr, Condition):
+        raise TypeError(f"not a condition: {expr!r}")
+    return expr.holds(state)
 
 
 def condition_atoms(expr: Condition) -> frozenset[str]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .conditions import ATOM_RE, Condition, Const, Ref, Trace, require_atom
+from .conditions import ATOM_RE, MAX_NESTING, Condition, Const, Ref, Trace, require_atom
 from .conditions import And as CondAnd
 from .conditions import Not as CondNot
 from .conditions import Or as CondOr
@@ -206,52 +206,46 @@ class _Parser:
             return True
         return False
 
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
+    # Every method takes the parser's current nesting depth, so that the
+    # bound of the condition parser, MAX_NESTING, holds for formulas too.
+
+    def parse_implies(self, depth: int) -> Formula:
+        left = self.parse_or(depth + 1)
         if self.accept("IMPLIES"):
-            return Implies(left, self.parse_implies())
+            return Implies(left, self.parse_implies(depth + 1))
         return left
 
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
+    def parse_or(self, depth: int) -> Formula:
+        left = self.parse_and(depth + 1)
         if self.accept("OR"):
-            return Or(left, self.parse_or())
+            return Or(left, self.parse_or(depth + 1))
         return left
 
-    def parse_and(self) -> Formula:
-        left = self.parse_temporal()
+    def parse_and(self, depth: int) -> Formula:
+        left = self.parse_temporal(depth + 1)
         if self.accept("AND"):
-            return And(left, self.parse_and())
+            return And(left, self.parse_and(depth + 1))
         return left
 
-    def parse_temporal(self) -> Formula:
-        left = self.parse_unary()
+    def parse_temporal(self, depth: int) -> Formula:
+        left = self.parse_unary(depth + 1)
         if self.accept("UNTIL"):
-            return Until(left, self.parse_temporal())
+            return Until(left, self.parse_temporal(depth + 1))
         if self.accept("WUNTIL"):
-            return WeakUntil(left, self.parse_temporal())
+            return WeakUntil(left, self.parse_temporal(depth + 1))
         return left
 
-    def parse_unary(self) -> Formula:
-        kind, _, _ = self.peek()
-        if kind == "NOT":
+    def parse_unary(self, depth: int) -> Formula:
+        # Every descent of the parser passes through here.
+        kind, _, pos = self.peek()
+        if depth > MAX_NESTING:
+            raise LtlSyntaxError("formula nests too deeply", pos)
+        if kind in _UNARY_TOKENS:
             self.take()
-            return Not(self.parse_unary())
-        if kind == "NEXT":
-            self.take()
-            return Next(self.parse_unary())
-        if kind == "WNEXT":
-            self.take()
-            return WeakNext(self.parse_unary())
-        if kind == "EVENTUALLY":
-            self.take()
-            return Eventually(self.parse_unary())
-        if kind == "ALWAYS":
-            self.take()
-            return Always(self.parse_unary())
-        return self.parse_primary()
+            return _UNARY_TOKENS[kind](self.parse_unary(depth + 1))
+        return self.parse_primary(depth + 1)
 
-    def parse_primary(self) -> Formula:
+    def parse_primary(self, depth: int) -> Formula:
         kind, text, pos = self.take()
         if kind == "TRUE":
             return TrueBool()
@@ -260,7 +254,7 @@ class _Parser:
         if kind == "ATOM":
             return Prop(text)
         if kind == "LPAREN":
-            inner = self.parse_implies()
+            inner = self.parse_implies(depth + 1)
             kind, _, pos = self.take()
             if kind != "RPAREN":
                 raise LtlSyntaxError("expected ')'", pos)
@@ -270,9 +264,13 @@ class _Parser:
         raise LtlSyntaxError(f"unexpected token {text!r}", pos)
 
 
+_UNARY_TOKENS = {"NOT": Not, "NEXT": Next, "WNEXT": WeakNext, "EVENTUALLY": Eventually, "ALWAYS": Always}
+
+
 def parse(text: str) -> Formula:
+    """Parse formula text; nesting deeper than MAX_NESTING is a syntax error."""
     parser = _Parser(text)
-    formula = parser.parse_implies()
+    formula = parser.parse_implies(0)
     kind, token_text, pos = parser.peek()
     if kind != "EOF":
         raise LtlSyntaxError(f"unexpected trailing token {token_text!r}", pos)

@@ -14,7 +14,8 @@ import dataclasses
 import functools
 from dataclasses import dataclass, field
 
-from .conditions import Condition, Trace, eval_condition
+# eval_condition is not called here; it stays importable because bench/tracing.py patches it.
+from .conditions import Condition, Trace, eval_condition  # noqa: F401
 
 Segment = tuple[int, int]
 
@@ -191,16 +192,21 @@ class Fails:
 Verdict = Holds | Fails
 
 
+# Per-position loops bind `cond.holds` and `trace.states` once: one call and one tuple index per position.
 def _first_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
+    holds = cond.holds
+    states = trace.states
     for k in range(start, stop):
-        if eval_condition(cond, trace[k]):
+        if holds(states[k]):
             return k
     return None
 
 
 def _last_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
+    holds = cond.holds
+    states = trace.states
     for k in range(stop - 1, start - 1, -1):
-        if eval_condition(cond, trace[k]):
+        if holds(states[k]):
             return k
     return None
 
@@ -280,28 +286,31 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
     empty = lo == hi
 
     if isinstance(pattern, Absence):
-        for k in range(lo, hi):
-            if eval_condition(pattern.p, trace[k]):
-                return Fails(0, k, "forbidden condition holds")
+        k = _first_index(pattern.p, trace, lo, hi)
+        if k is not None:
+            return Fails(0, k, "forbidden condition holds")
         return Holds(vacuous=empty)
 
     if isinstance(pattern, Universality):
+        holds = pattern.p.holds
+        states = trace.states
         for k in range(lo, hi):
-            if not eval_condition(pattern.p, trace[k]):
+            if not holds(states[k]):
                 return Fails(0, k, "required condition does not hold")
         return Holds(vacuous=empty)
 
     if isinstance(pattern, Existence):
-        for k in range(lo, hi):
-            if eval_condition(pattern.p, trace[k]):
-                return Holds(vacuous=False)
+        if _first_index(pattern.p, trace, lo, hi) is not None:
+            return Holds(vacuous=False)
         return Fails(0, max(lo, hi - 1), "no position satisfies the condition")
 
     if isinstance(pattern, BoundedExistence):
+        holds = pattern.p.holds
+        states = trace.states
         blocks = 0
         prev = False
         for k in range(lo, hi):
-            cur = eval_condition(pattern.p, trace[k])
+            cur = holds(states[k])
             if cur and not prev:
                 blocks += 1
                 if blocks > pattern.k:

@@ -20,7 +20,8 @@ A name may be defined only once: a duplicate condition or requirement name is
 the file-level contradiction signal and is always rejected.
 
 Trace files are JSON Lines: one array of atom names per line, one line per
-state, atoms sorted on output. Atoms absent from a line are false.
+state, atoms sorted on output. Atoms absent from a line are false. Identical
+lines load as one shared State.
 """
 
 from __future__ import annotations
@@ -267,9 +268,18 @@ def dump_suite(suite: Suite) -> str:
 
 
 def load_trace(text: str) -> Trace:
-    """Parse a JSON-Lines trace; one array of atom names per line."""
+    """Parse a JSON-Lines trace; one array of atom names per line.
+
+    Each distinct line text is parsed once: a repeated line reuses the State
+    of its first occurrence, so identical lines share one object.
+    """
     states = []
+    parsed: dict[str, State] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
+        state = parsed.get(line)
+        if state is not None:
+            states.append(state)
+            continue
         try:
             atoms = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -279,7 +289,8 @@ def load_trace(text: str) -> Trace:
         for atom in atoms:
             if not is_valid_atom(atom):
                 raise TraceFormatError(lineno, f"invalid atom name {atom!r}")
-        states.append(State(atoms))
+        state = parsed[line] = State(atoms)
+        states.append(state)
     return Trace(states)
 
 

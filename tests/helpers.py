@@ -49,6 +49,23 @@ def random_condition(rng: random.Random, atoms=DEFAULT_ATOMS, depth: int = 3) ->
     return Or(random_condition(rng, atoms, depth - 1), random_condition(rng, atoms, depth - 1))
 
 
+def truth(cond: Condition, atoms: frozenset[str]) -> bool:
+    """A condition's truth value over a set of true atoms, by structural
+    pattern matching: independent of the library's `holds` methods."""
+    match cond:
+        case Const(value):
+            return value
+        case Ref(name):
+            return name in atoms
+        case Not(inner):
+            return not truth(inner, atoms)
+        case And(left, right):
+            return truth(left, atoms) and truth(right, atoms)
+        case Or(left, right):
+            return truth(left, atoms) or truth(right, atoms)
+    raise AssertionError(f"unexpected condition {cond!r}")
+
+
 def random_scope(rng: random.Random, atoms=DEFAULT_ATOMS) -> Scope:
     q = random_condition(rng, atoms, 1)
     r = random_condition(rng, atoms, 1)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from reqpat import cli
 from reqpat.cli import main
 from reqpat.clock import Clock, builtin_suite, builtin_suite_text
 from reqpat.harness import record
@@ -328,6 +329,18 @@ def test_demo_negative_bound_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: --bound must be >= 0\n"
+
+
+def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, tmp_path, clock_suite):
+    def broken(req, trace):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check", broken)
+    code = main(["check", "--suite", clock_suite, "--trace", trace_file(tmp_path, 3)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_usage_error_exits_2(capsys):

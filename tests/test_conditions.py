@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reqpat import ltl
 from reqpat.conditions import (
     And,
     ConditionSyntaxError,
@@ -18,7 +21,7 @@ from reqpat.conditions import (
     parse_condition,
 )
 
-from helpers import random_condition
+from helpers import random_condition, truth
 
 
 def test_ref_membership():
@@ -35,6 +38,27 @@ def test_boolean_evaluation():
     state = State({"p", "q"})
     assert eval_condition(And(Ref("p"), Not(Ref("q"))), state) is False
     assert eval_condition(Or(Ref("x_missing"), Ref("q")), state) is True
+
+
+def _conditions(depth: int) -> st.SearchStrategy:
+    """Conditions over p, q and r, constants included, at most `depth` deep."""
+    leaf = st.one_of(st.builds(Const, st.booleans()), st.builds(Ref, st.sampled_from(["p", "q", "r"])))
+    if depth == 0:
+        return leaf
+    sub = _conditions(depth - 1)
+    return st.one_of(leaf, st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cond=_conditions(6), atoms=st.frozensets(st.sampled_from(["p", "q", "r"])))
+def test_eval_condition_agrees_with_structural_walk(cond, atoms):
+    assert eval_condition(cond, State(atoms)) is truth(cond, atoms)
+
+
+@pytest.mark.parametrize("expr", ["p", ltl.Prop("p")])
+def test_eval_condition_rejects_non_conditions(expr):
+    with pytest.raises(TypeError, match="not a condition"):
+        eval_condition(expr, State({"p"}))
 
 
 @pytest.mark.parametrize("name", ["p", "at_2400", "_x", "a1_b2"])

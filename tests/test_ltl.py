@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reqpat.conditions import Trace
+from reqpat.conditions import MAX_NESTING, Trace
 from reqpat import ltl
 from reqpat.ltl import (
     Always,
@@ -68,6 +68,27 @@ def test_parse_errors_carry_position(text, offset):
     with pytest.raises(LtlSyntaxError) as exc_info:
         parse(text)
     assert exc_info.value.position == offset
+
+
+def _flat_chain(terms: int) -> str:
+    return " && ".join(["a"] * terms)
+
+
+def test_formula_nesting_is_bounded_like_conditions():
+    # The parser reaches the first term of a flat chain at depth 4 and each
+    # further term one level deeper: MAX_NESTING - 3 terms is the deepest.
+    deepest = MAX_NESTING - 3
+    formula = parse(_flat_chain(deepest))
+    assert parse(print_formula(formula)) == formula
+    assert eval_ltlf(formula, Trace.of({"a"}), 0) is True
+    with pytest.raises(LtlSyntaxError, match="formula nests too deeply"):
+        parse(_flat_chain(deepest + 1))
+
+
+def test_flat_chain_of_1500_terms_is_a_syntax_error():
+    with pytest.raises(LtlSyntaxError, match="formula nests too deeply") as exc_info:
+        parse(_flat_chain(1500))
+    assert 0 < exc_info.value.position < len(_flat_chain(1500))
 
 
 # --- printing ---------------------------------------------------------------

@@ -4,7 +4,6 @@ import re
 
 import pytest
 
-from reqpat import patterns
 from reqpat.conditions import Not, Ref, Trace, condition_atoms
 from reqpat.patterns import (
     PATTERNS,
@@ -329,17 +328,18 @@ def test_response_patterns_match_reference_on_random_traces():
 )
 def test_response_patterns_evaluate_conditions_linearly(monkeypatch, pattern, verdict):
     """On p x 5,000 then s, the rescan per trigger makes about n^2/2 calls;
-    the backward pass stays within a few calls per state."""
+    the backward pass stays within a few calls per state. Every condition
+    here is a Ref, so counting Ref.holds counts every evaluation."""
     trace = Trace.of(*[{"p"}] * 5000, {"s"})
     calls = 0
-    inner = patterns.eval_condition
+    inner = Ref.holds
 
-    def counting(cond, state):
+    def counting(self, state):
         nonlocal calls
         calls += 1
-        return inner(cond, state)
+        return inner(self, state)
 
-    monkeypatch.setattr(patterns, "eval_condition", counting)
+    monkeypatch.setattr(Ref, "holds", counting)
     assert check(Requirement("r", pattern, Globally()), trace) == verdict
     per_state = 3 if isinstance(pattern, Response) else 2 + len(pattern.chain)
-    assert calls <= per_state * len(trace)
+    assert 0 < calls <= per_state * len(trace)

@@ -252,6 +252,23 @@ def test_load_trace_malformed_line_reports_line():
         load_trace("not json")
 
 
+def test_load_trace_interns_identical_lines():
+    trace = load_trace('["p"]\n["q"]\n["p"]\n')
+    assert trace[0] is trace[2]
+    assert trace[0] is not trace[1]
+    texts = [json.dumps([f"a{i}"]) for i in range(11)]
+    bulk = load_trace("".join(texts[k % 11] + "\n" for k in range(10_000)))
+    assert len(bulk) == 10_000
+    assert len({id(state) for state in bulk.states}) == 11
+
+
+def test_load_trace_repeated_malformed_line_reports_first_line():
+    with pytest.raises(TraceFormatError) as exc_info:
+        load_trace('["p"]\n["q"]\n["p"]\n["9bad"]\n["q"]\n["9bad"]\n')
+    assert exc_info.value.line == 4
+    assert str(exc_info.value) == "line 4: invalid atom name '9bad'"
+
+
 def test_write_trace_sorts_atoms():
     assert write_trace(Trace.of({"s", "p"})) == '["p","s"]\n'
     assert write_trace(Trace.of()) == ""
@@ -266,7 +283,9 @@ def test_trace_round_trip_random():
 
 def test_trace_round_trip_includes_empty_states():
     trace = Trace.of(set(), {"p"}, set())
-    assert load_trace(write_trace(trace)) == trace
+    loaded = load_trace(write_trace(trace))
+    assert loaded == trace
+    assert loaded[0] is loaded[2]
 
 
 # --- loader fuzzing ---------------------------------------------------------
