@@ -31,10 +31,6 @@ class Condition:
 
     __slots__ = ()
 
-    def holds(self, state: State) -> bool:
-        """The condition's truth value in one state."""
-        raise TypeError(f"not a condition: {self!r}")
-
 
 @dataclass(frozen=True)
 class Const(Condition):

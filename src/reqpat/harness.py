@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from .conditions import Condition, State, Trace
+from .conditions import Condition, State, Trace, eval_condition
 
 P_HOLDS = "p_holds"
 
@@ -76,12 +76,11 @@ def establish(sut: SutContract, cond: Condition, bound: int) -> Reached | NotRea
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    holds = cond.holds
-    if holds(sut.observations()):
+    if eval_condition(cond, sut.observations()):
         return Reached(0)
     for k in range(1, bound + 1):
         sut.tick()
-        if holds(sut.observations()):
+        if eval_condition(cond, sut.observations()):
             return Reached(k)
     return NotReached(bound)
 
@@ -99,11 +98,10 @@ def drive_verify_response(
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if not trigger.holds(sut.observations()):
+    if not eval_condition(trigger, sut.observations()):
         return PreconditionViolation(P_HOLDS)
-    holds = response.holds
     for k in range(1, bound + 1):
         sut.tick()
-        if holds(sut.observations()):
+        if eval_condition(response, sut.observations()):
             return Reached(k)
     return NotReached(bound)

@@ -200,77 +200,66 @@ class _Parser:
         self.index += 1
         return token
 
-    def accept(self, kind: str) -> bool:
-        if self.tokens[self.index][0] == kind:
-            self.index += 1
-            return True
-        return False
+    # Chains of unary and of binary operators are read in loops, so the
+    # parser recurses only into parentheses; their nesting is bounded.
 
-    # Every method takes the parser's current nesting depth, so that the
-    # bound of the condition parser, MAX_NESTING, holds for formulas too.
-
-    def parse_implies(self, depth: int) -> Formula:
-        left = self.parse_or(depth + 1)
-        if self.accept("IMPLIES"):
-            return Implies(left, self.parse_implies(depth + 1))
-        return left
-
-    def parse_or(self, depth: int) -> Formula:
-        left = self.parse_and(depth + 1)
-        if self.accept("OR"):
-            return Or(left, self.parse_or(depth + 1))
-        return left
-
-    def parse_and(self, depth: int) -> Formula:
-        left = self.parse_temporal(depth + 1)
-        if self.accept("AND"):
-            return And(left, self.parse_and(depth + 1))
-        return left
-
-    def parse_temporal(self, depth: int) -> Formula:
-        left = self.parse_unary(depth + 1)
-        if self.accept("UNTIL"):
-            return Until(left, self.parse_temporal(depth + 1))
-        if self.accept("WUNTIL"):
-            return WeakUntil(left, self.parse_temporal(depth + 1))
-        return left
+    def parse_formula(self, depth: int) -> Formula:
+        operands = [self.parse_unary(depth)]
+        ops: list[type] = []
+        while self.peek()[0] in _BINARY_TOKENS:
+            op = _BINARY_TOKENS[self.take()[0]]
+            # Every binary operator associates to the right: reduce only
+            # operators that bind more tightly.
+            while ops and _BINARY[ops[-1]][1] > _BINARY[op][1]:
+                _reduce(operands, ops)
+            ops.append(op)
+            operands.append(self.parse_unary(depth))
+        while ops:
+            _reduce(operands, ops)
+        return operands[0]
 
     def parse_unary(self, depth: int) -> Formula:
-        # Every descent of the parser passes through here.
-        kind, _, pos = self.peek()
-        if depth > MAX_NESTING:
-            raise LtlSyntaxError("formula nests too deeply", pos)
-        if kind in _UNARY_TOKENS:
-            self.take()
-            return _UNARY_TOKENS[kind](self.parse_unary(depth + 1))
-        return self.parse_primary(depth + 1)
-
-    def parse_primary(self, depth: int) -> Formula:
+        unary = []
         kind, text, pos = self.take()
-        if kind == "TRUE":
-            return TrueBool()
-        if kind == "FALSE":
-            return FalseBool()
-        if kind == "ATOM":
-            return Prop(text)
+        while kind in _UNARY_TOKENS:
+            unary.append(_UNARY_TOKENS[kind])
+            kind, text, pos = self.take()
         if kind == "LPAREN":
-            inner = self.parse_implies(depth + 1)
+            if depth >= MAX_NESTING:
+                raise LtlSyntaxError("formula nests too deeply", pos)
+            formula = self.parse_formula(depth + 1)
             kind, _, pos = self.take()
             if kind != "RPAREN":
                 raise LtlSyntaxError("expected ')'", pos)
-            return inner
-        if kind == "EOF":
+        elif kind == "TRUE":
+            formula = TrueBool()
+        elif kind == "FALSE":
+            formula = FalseBool()
+        elif kind == "ATOM":
+            formula = Prop(text)
+        elif kind == "EOF":
             raise LtlSyntaxError("unexpected end of input", pos)
-        raise LtlSyntaxError(f"unexpected token {text!r}", pos)
+        else:
+            raise LtlSyntaxError(f"unexpected token {text!r}", pos)
+        for op in reversed(unary):
+            formula = op(formula)
+        return formula
+
+
+def _reduce(operands: list[Formula], ops: list[type]) -> None:
+    right = operands.pop()
+    operands[-1] = ops.pop()(operands[-1], right)
 
 
 _UNARY_TOKENS = {"NOT": Not, "NEXT": Next, "WNEXT": WeakNext, "EVENTUALLY": Eventually, "ALWAYS": Always}
+_BINARY_TOKENS = {"IMPLIES": Implies, "OR": Or, "AND": And, "UNTIL": Until, "WUNTIL": WeakUntil}
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text; nesting deeper than MAX_NESTING is a syntax error."""
+    """Parse formula text; parentheses nested more than MAX_NESTING deep are
+    a syntax error."""
     parser = _Parser(text)
-    formula = parser.parse_implies(0)
+    formula = parser.parse_formula(0)
     kind, token_text, pos = parser.peek()
     if kind != "EOF":
         raise LtlSyntaxError(f"unexpected trailing token {token_text!r}", pos)

@@ -14,8 +14,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass, field
 
-# eval_condition is not called here; it stays importable because bench/tracing.py patches it.
-from .conditions import Condition, Trace, eval_condition  # noqa: F401
+from .conditions import Condition, Trace, eval_condition
 
 Segment = tuple[int, int]
 
@@ -192,21 +191,22 @@ class Fails:
 Verdict = Holds | Fails
 
 
-# Per-position loops bind `cond.holds` and `trace.states` once: one call and one tuple index per position.
+# Per-position loops index `trace.states` directly, not through
+# Trace.__getitem__, and evaluate every condition through eval_condition,
+# which rejects a non-condition with TypeError; bench/tracing.py counts these
+# calls per state.
 def _first_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
-    holds = cond.holds
     states = trace.states
     for k in range(start, stop):
-        if holds(states[k]):
+        if eval_condition(cond, states[k]):
             return k
     return None
 
 
 def _last_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
-    holds = cond.holds
     states = trace.states
     for k in range(stop - 1, start - 1, -1):
-        if holds(states[k]):
+        if eval_condition(cond, states[k]):
             return k
     return None
 
@@ -292,10 +292,9 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
         return Holds(vacuous=empty)
 
     if isinstance(pattern, Universality):
-        holds = pattern.p.holds
         states = trace.states
         for k in range(lo, hi):
-            if not holds(states[k]):
+            if not eval_condition(pattern.p, states[k]):
                 return Fails(0, k, "required condition does not hold")
         return Holds(vacuous=empty)
 
@@ -305,12 +304,11 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
         return Fails(0, max(lo, hi - 1), "no position satisfies the condition")
 
     if isinstance(pattern, BoundedExistence):
-        holds = pattern.p.holds
         states = trace.states
         blocks = 0
         prev = False
         for k in range(lo, hi):
-            cur = holds(states[k])
+            cur = eval_condition(pattern.p, states[k])
             if cur and not prev:
                 blocks += 1
                 if blocks > pattern.k:

@@ -6,7 +6,7 @@ import pytest
 
 from reqpat.conditions import And as CondAnd
 from reqpat.conditions import Not as CondNot
-from reqpat.conditions import Ref
+from reqpat.conditions import ConditionSyntaxError, MAX_NESTING, Ref, parse_condition
 from reqpat.ltl import UnsupportedPattern, emit_ltl, eval_ltlf, parse, print_formula
 from reqpat.patterns import (
     Absence,
@@ -83,6 +83,42 @@ def test_emitted_formulas_parse_and_print_round_trip():
         for scope in scopes:
             formula = emit_ltl(req(pattern, scope))
             assert parse(print_formula(formula)) == formula
+
+
+def _deepest_condition(shape) -> object:
+    """The condition of the given shape at the nesting bound of the condition
+    parser, which every condition of a loaded suite passes through."""
+    n = 1
+    while True:
+        try:
+            parse_condition(shape(n + 1))
+        except ConditionSyntaxError:
+            return parse_condition(shape(n))
+        n += 1
+
+
+DEEPEST_SHAPES = {
+    "and_chain": lambda n: " && ".join(["a"] * n),
+    "or_chain": lambda n: " || ".join(["a"] * n),
+    "negations": lambda n: "!" * n + "a",
+    "alternating_parentheses": lambda n: "".join(("a && (", "b || (")[i % 2] for i in range(n)) + "c" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", DEEPEST_SHAPES)
+def test_emitted_formulas_of_the_deepest_conditions_round_trip(shape):
+    c = _deepest_condition(DEEPEST_SHAPES[shape])
+    patterns = [Absence(c), Universality(c), Existence(c), BoundedExistence(c, 2), Precedence(c, c), Response(c, c)]
+    scopes = [Globally(), Before(c), After(c), Between(c, c), AfterUntil(c, c)]
+    for pattern in patterns:
+        for scope in scopes:
+            formula = emit_ltl(req(pattern, scope))
+            assert parse(print_formula(formula)) == formula
+
+
+def test_bounded_existence_formula_of_bound_max_nesting_round_trips():
+    text = print_formula(emit_ltl(req(BoundedExistence(P, MAX_NESTING), Globally())))
+    assert print_formula(parse(text)) == text
 
 
 CELLS = [

@@ -70,25 +70,33 @@ def test_parse_errors_carry_position(text, offset):
     assert exc_info.value.position == offset
 
 
-def _flat_chain(terms: int) -> str:
-    return " && ".join(["a"] * terms)
+def test_parse_folds_mixed_operator_chains_by_precedence():
+    a, b, c, d, e, f = (Prop(name) for name in "abcdef")
+    assert parse("a -> b || c && d U e W f") == Implies(a, Or(b, And(c, Until(d, WeakUntil(e, f)))))
+    assert parse("a U b && c || d -> e") == Implies(Or(And(Until(a, b), c), d), e)
 
 
-def test_formula_nesting_is_bounded_like_conditions():
-    # The parser reaches the first term of a flat chain at depth 4 and each
-    # further term one level deeper: MAX_NESTING - 3 terms is the deepest.
-    deepest = MAX_NESTING - 3
-    formula = parse(_flat_chain(deepest))
-    assert parse(print_formula(formula)) == formula
-    assert eval_ltlf(formula, Trace.of({"a"}), 0) is True
-    with pytest.raises(LtlSyntaxError, match="formula nests too deeply"):
-        parse(_flat_chain(deepest + 1))
+def test_formula_parentheses_nest_at_most_max_nesting_deep():
+    def nested(depth: int) -> str:
+        return "(" * depth + "a" + ")" * depth
 
-
-def test_flat_chain_of_1500_terms_is_a_syntax_error():
+    assert parse(nested(MAX_NESTING)) == Prop("a")
     with pytest.raises(LtlSyntaxError, match="formula nests too deeply") as exc_info:
-        parse(_flat_chain(1500))
-    assert 0 < exc_info.value.position < len(_flat_chain(1500))
+        parse(nested(MAX_NESTING + 1))
+    assert exc_info.value.position == MAX_NESTING
+
+
+def test_operator_chains_of_1500_terms_parse_without_recursion():
+    formula = parse(" && ".join(["a"] * 1500))
+    for _ in range(1499):
+        assert isinstance(formula, And) and formula.left == Prop("a")
+        formula = formula.right
+    assert formula == Prop("a")
+    formula = parse("!" * 1500 + "a")
+    for _ in range(1500):
+        assert isinstance(formula, Not)
+        formula = formula.operand
+    assert formula == Prop("a")
 
 
 # --- printing ---------------------------------------------------------------
