@@ -7,6 +7,14 @@ test suite holds them to exhaustive agreement. Formulas are interpreted over
 finite, nonempty traces; strong next fails at the final state, weak next
 succeeds there.
 
+Evaluation is bit-parallel. A formula is compiled once, on its first
+evaluation, into a flat program with one instruction per structurally
+distinct subformula, and the program is kept on the formula object. Running
+it computes each subformula's truth at every position of the trace as one
+integer mask: next is a shift, eventually and always take the lowest set
+bit, and until is one addition. Neither compiling nor running recurses, so
+a formula of any depth evaluates.
+
 Formula text grammar (whitespace insignificant):
 
     formula := or_ ('->' formula)?          right-associative
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .conditions import ATOM_RE, MAX_NESTING, Condition, Const, Ref, Trace, require_atom
 from .conditions import And as CondAnd
@@ -41,6 +50,7 @@ from .patterns import (
     Precedence,
     Requirement,
     Response,
+    TAGS,
     Universality,
 )
 
@@ -49,6 +59,13 @@ class Formula:
     """Base class for formula nodes. All nodes are immutable values."""
 
     __slots__ = ()
+
+    @cached_property
+    def _program(self) -> tuple[tuple, ...]:
+        """The evaluation program, compiled on first use and kept on the
+        node: formulas are immutable, and dataclass ==, hash and repr read
+        only the fields."""
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -311,6 +328,51 @@ def _print(formula: Formula, ctx: int) -> str:
 
 
 # --- evaluation --------------------------------------------------------------
+#
+# A subformula's truth over a trace of length n is one int mask, with position
+# i at bit n-1-i: later positions are lower bits.
+
+def _operands(node: Formula) -> tuple:
+    cls = type(node)
+    if cls in _BINARY:
+        return (node.left, node.right)
+    if cls in _UNARY_TEXT or cls in _UNARY_SPACED:
+        return (node.operand,)
+    if cls in (Prop, TrueBool, FalseBool):
+        return ()
+    raise TypeError(f"not a formula: {node!r}")
+
+
+def _compile(formula: Formula) -> tuple[tuple, ...]:
+    """Post-order program of (node class, operand, operand) instructions,
+    built without recursion. An operand is the slot of a subformula's
+    instruction, or an atom name. Structurally equal subformulas share one
+    slot, and the root is the last instruction."""
+    program: list[tuple] = []
+    slot_of_key: dict[tuple, int] = {}
+    slot_of_node: dict[int, int] = {}  # by id(): every node lives on in `formula`
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if id(node) in slot_of_node:
+            stack.pop()
+            continue
+        kids = _operands(node)
+        pending = [kid for kid in kids if id(kid) not in slot_of_node]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        slots = [slot_of_node[id(kid)] for kid in kids] + [None, None]
+        op = type(node)
+        key = (op, node.name, None) if op is Prop else (op, slots[0], slots[1])
+        slot = slot_of_key.get(key)
+        if slot is None:
+            slot = slot_of_key[key] = len(program)
+            program.append(key)
+        slot_of_node[id(node)] = slot
+    return tuple(program)
+
 
 def eval_ltlf(formula: Formula, trace: Trace, pos: int = 0) -> bool:
     """Evaluate a formula at a position of a nonempty finite trace.
@@ -321,123 +383,57 @@ def eval_ltlf(formula: Formula, trace: Trace, pos: int = 0) -> bool:
     f W g additionally holds when f holds at every [pos, n); <> and [] are
     the usual derived forms.
     """
+    if not isinstance(formula, Formula):
+        raise TypeError(f"not a formula: {formula!r}")
     n = len(trace)
     if n == 0:
         raise ValueError("finite-trace semantics requires a nonempty trace")
     if not 0 <= pos < n:
         raise ValueError(f"position {pos} outside trace of length {n}")
-    return _truth_all(formula, trace.states, {})[pos]
-
-
-def _truth_all(formula: Formula, states: tuple, memo: dict[int, list[bool]]) -> list[bool]:
-    """Truth value of the formula at every position, by backward induction.
-    Shared subtrees (same object) are evaluated once per pass."""
-    key = id(formula)
-    cached = memo.get(key)
-    if cached is None:
-        handler = _EVALUATORS.get(type(formula))
-        if handler is None:
-            raise TypeError(f"not a formula: {formula!r}")
-        cached = memo[key] = handler(formula, states, memo)
-    return cached
-
-
-def _eval_true(formula, states, memo):
-    return [True] * len(states)
-
-
-def _eval_false(formula, states, memo):
-    return [False] * len(states)
-
-
-def _eval_prop(formula, states, memo):
-    name = formula.name
-    return [name in state.atoms for state in states]
-
-
-def _eval_not(formula, states, memo):
-    return [not v for v in _truth_all(formula.operand, states, memo)]
-
-
-def _eval_and(formula, states, memo):
-    rights = _truth_all(formula.right, states, memo)
-    return [a and b for a, b in zip(_truth_all(formula.left, states, memo), rights)]
-
-
-def _eval_or(formula, states, memo):
-    rights = _truth_all(formula.right, states, memo)
-    return [a or b for a, b in zip(_truth_all(formula.left, states, memo), rights)]
-
-
-def _eval_implies(formula, states, memo):
-    rights = _truth_all(formula.right, states, memo)
-    return [b or not a for a, b in zip(_truth_all(formula.left, states, memo), rights)]
-
-
-def _eval_next(formula, states, memo):
-    return _truth_all(formula.operand, states, memo)[1:] + [False]
-
-
-def _eval_weak_next(formula, states, memo):
-    return _truth_all(formula.operand, states, memo)[1:] + [True]
-
-
-def _eval_eventually(formula, states, memo):
-    out = []
-    later = False
-    for v in reversed(_truth_all(formula.operand, states, memo)):
-        later = v or later
-        out.append(later)
-    out.reverse()
-    return out
-
-
-def _eval_always(formula, states, memo):
-    out = []
-    so_far = True
-    for v in reversed(_truth_all(formula.operand, states, memo)):
-        so_far = v and so_far
-        out.append(so_far)
-    out.reverse()
-    return out
-
-
-def _until_scan(formula, states, memo, beyond_end: bool):
-    lefts = _truth_all(formula.left, states, memo)
-    rights = _truth_all(formula.right, states, memo)
-    out = []
-    nxt = beyond_end
-    for a, b in zip(reversed(lefts), reversed(rights)):
-        nxt = b or (a and nxt)
-        out.append(nxt)
-    out.reverse()
-    return out
-
-
-def _eval_until(formula, states, memo):
-    return _until_scan(formula, states, memo, beyond_end=False)
-
-
-def _eval_weak_until(formula, states, memo):
-    # W tolerates running off the end of the trace, U does not.
-    return _until_scan(formula, states, memo, beyond_end=True)
-
-
-_EVALUATORS = {
-    TrueBool: _eval_true,
-    FalseBool: _eval_false,
-    Prop: _eval_prop,
-    Not: _eval_not,
-    And: _eval_and,
-    Or: _eval_or,
-    Implies: _eval_implies,
-    Next: _eval_next,
-    WeakNext: _eval_weak_next,
-    Eventually: _eval_eventually,
-    Always: _eval_always,
-    Until: _eval_until,
-    WeakUntil: _eval_weak_until,
-}
+    states = trace.states
+    full = (1 << n) - 1
+    masks: list[int] = []
+    push = masks.append
+    for op, a, b in formula._program:
+        if op is And:
+            push(masks[a] & masks[b])
+        elif op is Not:
+            push(full ^ masks[a])
+        elif op is Prop:
+            mask = 0
+            for state in states:
+                mask = (mask << 1) | (a in state.atoms)
+            push(mask)
+        elif op is Or:
+            push(masks[a] | masks[b])
+        elif op is Implies:
+            push((full ^ masks[a]) | masks[b])
+        elif op is Until or op is WeakUntil:
+            # Backward induction u[i] = b[i] | (a[i] & u[i+1]) is a carry
+            # chain from bit 0 upwards: b generates, a propagates, and the
+            # carries into each bit are (t + b) ^ t ^ b. W carries one in
+            # from beyond the end of the trace.
+            right = masks[b]
+            t = masks[a] | right
+            carry_in = 1 if op is WeakUntil else 0
+            push(t & (right | ((t + right + carry_in) ^ t ^ right)))
+        elif op is Next:
+            push((masks[a] << 1) & full)
+        elif op is WeakNext:
+            push(((masks[a] << 1) & full) | 1)
+        elif op is Eventually:
+            # Every position at or before the last one where the operand holds.
+            mask = masks[a]
+            push(full ^ ((mask & -mask) - 1) if mask else 0)
+        elif op is Always:
+            # The run of set bits ending at the last position.
+            mask = masks[a]
+            push(mask & ~(mask + 1))
+        elif op is TrueBool:
+            push(full)
+        else:  # FalseBool
+            push(0)
+    return bool(masks[-1] >> (n - 1 - pos) & 1)
 
 
 # --- emission ----------------------------------------------------------------
@@ -524,6 +520,16 @@ def _anchored_never(q: Formula, r: Formula, fail_at_opener: Formula) -> Formula:
     return And(Not(fail), Always(Implies(r, Not(fail))))
 
 
+# The largest bounded-existence k whose formula prints and parses back. Under
+# before, between and after_until each unit of k nests the printed formula
+# two parentheses deeper, 2k + 4 in all, and the parser stops at
+# MAX_NESTING. Under globally and after the formula prints as a flat W chain,
+# but print_formula recurses once per level, 2k + 1 of them, so k stays
+# at MAX_NESTING there.
+_MAX_WINDOWED_K = (MAX_NESTING - 4) // 2
+_MAX_UNWINDOWED_K = MAX_NESTING
+
+
 def emit_ltl(req: Requirement) -> Formula:
     """Emit the temporal-logic formula for a core pattern x scope instance.
 
@@ -538,6 +544,11 @@ def emit_ltl(req: Requirement) -> Formula:
 
     if isinstance(pattern, Response) and pattern.strict and not isinstance(scope, Globally):
         raise UnsupportedPattern("strict response is only emitted under the global scope")
+    if isinstance(pattern, BoundedExistence):
+        bound = _MAX_WINDOWED_K if isinstance(scope, (Before, Between, AfterUntil)) else _MAX_UNWINDOWED_K
+        if pattern.k > bound:
+            tag = TAGS[type(scope)]
+            raise UnsupportedPattern(f"bounded existence is only emitted for k <= {bound} under {tag}")
 
     if isinstance(scope, Globally):
         return _emit_global(pattern)

@@ -94,6 +94,95 @@ def random_formula(rng: random.Random, atoms=DEFAULT_ATOMS, depth: int = 5) -> l
     )
 
 
+def reference_eval_ltlf(formula: ltl.Formula, trace: Trace) -> list[bool]:
+    """The formula's truth at every position of a nonempty trace, by backward
+    induction over lists of booleans: the reference for the library's mask
+    evaluator, eval_ltlf. Shared subtrees (same object) are evaluated once."""
+    return _truth_all(formula, trace.states, {})
+
+
+def _truth_all(formula, states: tuple, memo: dict[int, list[bool]]) -> list[bool]:
+    key = id(formula)
+    cached = memo.get(key)
+    if cached is None:
+        cached = memo[key] = _EVALUATORS[type(formula)](formula, states, memo)
+    return cached
+
+
+def _eval_prop(formula, states, memo):
+    name = formula.name
+    return [name in state.atoms for state in states]
+
+
+def _eval_not(formula, states, memo):
+    return [not v for v in _truth_all(formula.operand, states, memo)]
+
+
+def _eval_and(formula, states, memo):
+    rights = _truth_all(formula.right, states, memo)
+    return [a and b for a, b in zip(_truth_all(formula.left, states, memo), rights)]
+
+
+def _eval_or(formula, states, memo):
+    rights = _truth_all(formula.right, states, memo)
+    return [a or b for a, b in zip(_truth_all(formula.left, states, memo), rights)]
+
+
+def _eval_implies(formula, states, memo):
+    rights = _truth_all(formula.right, states, memo)
+    return [b or not a for a, b in zip(_truth_all(formula.left, states, memo), rights)]
+
+
+def _eval_eventually(formula, states, memo):
+    out = []
+    later = False
+    for v in reversed(_truth_all(formula.operand, states, memo)):
+        later = v or later
+        out.append(later)
+    out.reverse()
+    return out
+
+
+def _eval_always(formula, states, memo):
+    out = []
+    so_far = True
+    for v in reversed(_truth_all(formula.operand, states, memo)):
+        so_far = v and so_far
+        out.append(so_far)
+    out.reverse()
+    return out
+
+
+def _until_scan(formula, states, memo, beyond_end: bool):
+    lefts = _truth_all(formula.left, states, memo)
+    rights = _truth_all(formula.right, states, memo)
+    out = []
+    nxt = beyond_end
+    for a, b in zip(reversed(lefts), reversed(rights)):
+        nxt = b or (a and nxt)
+        out.append(nxt)
+    out.reverse()
+    return out
+
+
+_EVALUATORS = {
+    ltl.TrueBool: lambda formula, states, memo: [True] * len(states),
+    ltl.FalseBool: lambda formula, states, memo: [False] * len(states),
+    ltl.Prop: _eval_prop,
+    ltl.Not: _eval_not,
+    ltl.And: _eval_and,
+    ltl.Or: _eval_or,
+    ltl.Implies: _eval_implies,
+    ltl.Next: lambda formula, states, memo: _truth_all(formula.operand, states, memo)[1:] + [False],
+    ltl.WeakNext: lambda formula, states, memo: _truth_all(formula.operand, states, memo)[1:] + [True],
+    ltl.Eventually: _eval_eventually,
+    ltl.Always: _eval_always,
+    ltl.Until: lambda formula, states, memo: _until_scan(formula, states, memo, beyond_end=False),
+    # W tolerates running off the end of the trace, U does not.
+    ltl.WeakUntil: lambda formula, states, memo: _until_scan(formula, states, memo, beyond_end=True),
+}
+
+
 def all_traces(atoms, max_len: int, min_len: int = 1):
     """Every trace over the given atoms with length in [min_len, max_len]."""
     universe = [

@@ -218,6 +218,27 @@ def test_emit_reports_unsupported_lines_but_exits_zero(capsys, tmp_path):
     assert code == 0
 
 
+def test_emit_reports_bounded_existence_beyond_the_emission_bound_as_unsupported(capsys, tmp_path):
+    suite = tmp_path / "bounded.json"
+    suite.write_text(
+        json.dumps(
+            {
+                "conditions": {"a": "a", "q": "q", "r": "r"},
+                "requirements": [
+                    {
+                        "name": "MANY",
+                        "pattern": {"type": "bounded_existence", "p": "a", "k": 140},
+                        "scope": {"type": "between", "q": "q", "r": "r"},
+                    },
+                ],
+            }
+        )
+    )
+    code, out = run(capsys, "emit", "--suite", str(suite))
+    assert out == "MANY: unsupported (bounded existence is only emitted for k <= 98 under between)\n"
+    assert code == 0
+
+
 def test_report(capsys, clock_suite):
     code, out = run(capsys, "report", "--suite", clock_suite)
     assert out.splitlines()[0] == "| Name | Paraphrase | Source | Repo |"

@@ -2,6 +2,8 @@
 small-scale version of the exhaustive equivalence check (the acceptance suite
 runs the full one)."""
 
+import random
+
 import pytest
 
 from reqpat.conditions import And as CondAnd
@@ -27,7 +29,8 @@ from reqpat.patterns import (
     check,
 )
 
-from helpers import all_traces
+from helpers import all_traces, random_trace, reference_eval_ltlf
+from test_acceptance import ALL_SCOPES, CORE_PATTERNS
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
 
@@ -121,6 +124,45 @@ def test_bounded_existence_formula_of_bound_max_nesting_round_trips():
     assert print_formula(parse(text)) == text
 
 
+def _largest_emittable_k(scope) -> int:
+    def emits(k: int) -> bool:
+        try:
+            emit_ltl(req(BoundedExistence(P, k), scope))
+        except UnsupportedPattern:
+            return False
+        return True
+
+    lo, hi = 0, 10 * MAX_NESTING
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if emits(mid) else (lo, mid)
+    return lo
+
+
+BOUNDED_SCOPES = [Globally(), Before(R), After(Q), Between(Q, R), AfterUntil(Q, R)]
+
+
+@pytest.mark.parametrize("scope", BOUNDED_SCOPES, ids=lambda scope: type(scope).__name__)
+def test_bounded_existence_emits_up_to_the_largest_k_that_round_trips(scope):
+    k = _largest_emittable_k(scope)
+    windowed = isinstance(scope, (Before, Between, AfterUntil))
+    assert k == ((MAX_NESTING - 4) // 2 if windowed else MAX_NESTING)
+    text = print_formula(emit_ltl(req(BoundedExistence(P, k), scope)))
+    assert print_formula(parse(text)) == text
+    with pytest.raises(UnsupportedPattern, match=f"k <= {k} "):
+        emit_ltl(req(BoundedExistence(P, k + 1), scope))
+
+
+@pytest.mark.parametrize("scope", BOUNDED_SCOPES, ids=lambda scope: type(scope).__name__)
+def test_bounded_existence_at_the_largest_k_agrees_with_check(scope):
+    requirement = req(BoundedExistence(P, _largest_emittable_k(scope)), scope)
+    formula = emit_ltl(requirement)
+    rng = random.Random(20261018)
+    for _ in range(200):
+        trace = random_trace(rng, min_len=1, max_len=60)
+        assert eval_ltlf(formula, trace, 0) == isinstance(check(requirement, trace), Holds)
+
+
 CELLS = [
     (Absence(P), ("p",)),
     (Existence(P), ("p",)),
@@ -149,3 +191,15 @@ def test_emission_matches_direct_semantics_small(pattern, pattern_atoms, scope, 
     for trace in all_traces(atoms, max_len=3):
         direct = isinstance(check(requirement, trace), Holds)
         assert eval_ltlf(formula, trace, 0) == direct, f"trace={[sorted(s.atoms) for s in trace]}"
+
+
+@pytest.mark.parametrize("pattern,pattern_atoms", CORE_PATTERNS)
+@pytest.mark.parametrize("scope,scope_atoms", ALL_SCOPES)
+def test_criterion_1_formulas_agree_with_the_reference_evaluator(pattern, pattern_atoms, scope, scope_atoms):
+    """Every criterion-1 cell's formula against the list-based evaluator on
+    every trace of length 1-4. Position 0 suffices: truth at a later position
+    is truth at 0 of the suffix, which is one of the traces enumerated."""
+    formula = emit_ltl(req(pattern, scope))
+    atoms = tuple(dict.fromkeys(pattern_atoms + scope_atoms))
+    for trace in all_traces(atoms, max_len=4):
+        assert eval_ltlf(formula, trace, 0) is reference_eval_ltlf(formula, trace)[0]

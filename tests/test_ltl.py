@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reqpat.conditions import MAX_NESTING, Trace
+from reqpat.conditions import MAX_NESTING, Ref, Trace
 from reqpat import ltl
 from reqpat.ltl import (
     Always,
@@ -24,7 +26,7 @@ from reqpat.ltl import (
     print_formula,
 )
 
-from helpers import random_formula, random_trace
+from helpers import random_formula, random_trace, reference_eval_ltlf
 
 
 # --- parsing ----------------------------------------------------------------
@@ -177,3 +179,53 @@ def test_eval_is_pure():
     trace = random_trace(rng, min_len=3)
     formula = random_formula(rng, depth=4)
     assert eval_ltlf(formula, trace, 0) == eval_ltlf(formula, trace, 0)
+
+
+def _random_dag(rng: random.Random) -> ltl.Formula:
+    """A formula whose subtrees are shared objects: each new node takes its
+    operands from the nodes built so far."""
+    pool = [random_formula(rng, depth=2) for _ in range(3)]
+    unary = (Not, Next, WeakNext, Eventually, Always)
+    binary = (And, Or, Implies, Until, WeakUntil)
+    for _ in range(rng.randint(1, 12)):
+        if rng.random() < 0.4:
+            pool.append(rng.choice(unary)(rng.choice(pool)))
+        else:
+            pool.append(rng.choice(binary)(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans(), length=st.integers(1, 8))
+def test_eval_agrees_with_reference_at_every_position(seed, shared, length):
+    rng = random.Random(seed)
+    formula = _random_dag(rng) if shared else random_formula(rng, depth=6)
+    trace = random_trace(rng, min_len=length, max_len=length)
+    expected = reference_eval_ltlf(formula, trace)
+    for pos in range(length):
+        assert eval_ltlf(formula, trace, pos) is expected[pos]
+
+
+def test_not_chain_of_5000_evaluates_without_recursion():
+    formula = Prop("p")
+    for _ in range(5000):
+        formula = Not(formula)
+    assert eval_ltlf(formula, Trace.of({"p"}, set()), 0) is True
+    assert eval_ltlf(formula, Trace.of({"p"}, set()), 1) is False
+
+
+def test_evaluation_leaves_value_semantics_unchanged():
+    formula = parse("[](p -> (q U r)) && !p W X s || <>[]q")
+    twin = parse(print_formula(formula))
+    before = (repr(formula), hash(formula), print_formula(formula))
+    for trace in (Trace.of({"p"}, {"q"}, {"r"}), Trace.of({"q"}, set(), {"s"}, {"q"}, {"p", "r"})):
+        assert eval_ltlf(formula, trace, 0) is reference_eval_ltlf(formula, trace)[0]
+        assert (repr(formula), hash(formula), print_formula(formula)) == before
+        assert formula == twin and twin == formula
+
+
+@pytest.mark.parametrize("formula", [Ref("p"), "p", Not(Ref("p"))])
+def test_eval_rejects_non_formulas_and_caches_nothing(formula):
+    with pytest.raises(TypeError, match="not a formula"):
+        eval_ltlf(formula, Trace.of({"p"}), 0)
+    assert "_program" not in getattr(formula, "__dict__", {})
