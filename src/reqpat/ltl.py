@@ -1,5 +1,5 @@
 """Finite-trace linear temporal logic: syntax tree, parser, printer, evaluator,
-and emission of pattern formulas.
+and emission of pattern formulas from a table of templates.
 
 The evaluator is deliberately independent of the pattern checker in
 `patterns`: the two give the library a dual route to every verdict, and the
@@ -13,7 +13,14 @@ distinct subformula, and the program is kept on the formula object. Running
 it computes each subformula's truth at every position of the trace as one
 integer mask: next is a shift, eventually and always take the lowest set
 bit, and until is one addition. Neither compiling nor running recurses, so
-a formula of any depth evaluates.
+a formula of any depth evaluates; printing does not recurse either.
+
+Emission reads one table of requirement templates: for each (pattern tag,
+scope tag) cell of the `patterns` catalogue, formula text over placeholders
+for the requirement's conditions, parsed on first use and instantiated by
+putting each condition's formula in its placeholder's place in the tree.
+One rule bounds what is emitted: the printed formula must parse back, so a
+formula whose parentheses nest more than MAX_NESTING deep is unsupported.
 
 Formula text grammar (whitespace insignificant):
 
@@ -32,27 +39,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable
 
 from .conditions import ATOM_RE, MAX_NESTING, Condition, Const, Ref, Trace, require_atom
 from .conditions import And as CondAnd
 from .conditions import Not as CondNot
 from .conditions import Or as CondOr
-from .patterns import (
-    Absence,
-    After,
-    AfterUntil,
-    Before,
-    Between,
-    BoundedExistence,
-    Existence,
-    Globally,
-    Precedence,
-    Requirement,
-    Response,
-    TAGS,
-    Universality,
-)
+from .patterns import TAGS, Requirement, mapped_fields
 
 
 class Formula:
@@ -66,6 +60,11 @@ class Formula:
         node: formulas are immutable, and dataclass ==, hash and repr read
         only the fields."""
         return _compile(self)
+
+    @cached_property
+    def _rendered(self) -> tuple[str, int]:
+        """The printed text and its parenthesis depth, kept like `_program`."""
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -291,9 +290,8 @@ _PREC_AND = 3
 _PREC_TEMPORAL = 4
 _PREC_UNARY = 5
 
-_UNARY_TEXT = {Not: "!", Eventually: "<>", Always: "[]"}
-# Letter operators need a following space so the result re-tokenizes.
-_UNARY_SPACED = {Next: "X", WeakNext: "WX"}
+# Letter operators carry a following space so the result re-tokenizes.
+_UNARY_TEXT = {Not: "!", Eventually: "<>", Always: "[]", Next: "X ", WeakNext: "WX "}
 _BINARY = {
     Implies: ("->", _PREC_IMPLIES),
     Or: ("||", _PREC_OR),
@@ -301,30 +299,61 @@ _BINARY = {
     Until: ("U", _PREC_TEMPORAL),
     WeakUntil: ("W", _PREC_TEMPORAL),
 }
+_INFIX = {cls: (f" {op} ", prec) for cls, (op, prec) in _BINARY.items()}
 
 
 def print_formula(formula: Formula) -> str:
     """Render with the minimum parentheses the grammar needs to re-parse it."""
-    return _print(formula, 0)
+    if not isinstance(formula, Formula):
+        raise TypeError(f"not a formula: {formula!r}")
+    return formula._rendered[0]
 
 
-def _print(formula: Formula, ctx: int) -> str:
-    if isinstance(formula, TrueBool):
-        return "true"
-    if isinstance(formula, FalseBool):
-        return "false"
-    if isinstance(formula, Prop):
-        return formula.name
-    cls = type(formula)
-    if cls in _UNARY_TEXT:
-        return _UNARY_TEXT[cls] + _print(formula.operand, _PREC_UNARY)
-    if cls in _UNARY_SPACED:
-        return _UNARY_SPACED[cls] + " " + _print(formula.operand, _PREC_UNARY)
-    if cls in _BINARY:
-        op, prec = _BINARY[cls]
-        text = _print(formula.left, prec + 1) + f" {op} " + _print(formula.right, prec)
-        return f"({text})" if prec < ctx else text
-    raise TypeError(f"not a formula: {formula!r}")
+def _render(formula: Formula) -> tuple[str, int]:
+    """The formula's text, and how deep its parentheses nest.
+
+    Written left to right without recursion: the loop walks down a left
+    spine and stacks each right operand with the text that precedes it,
+    and each closing parenthesis with no operand, so a formula of any depth
+    renders."""
+    out: list[str] = []
+    write = out.append
+    stack: list = [("", formula, 0)]
+    depth = deepest = 0
+    while stack:
+        text, node, ctx = stack.pop()
+        write(text)
+        if node is None:
+            depth -= 1
+            continue
+        cls = type(node)
+        while True:
+            prefix = _UNARY_TEXT.get(cls)
+            if prefix is not None:
+                write(prefix)
+                node, ctx = node.operand, _PREC_UNARY
+            elif cls in _INFIX:
+                infix, prec = _INFIX[cls]
+                if prec < ctx:
+                    write("(")
+                    depth += 1
+                    if depth > deepest:
+                        deepest = depth
+                    stack.append((")", None, 0))
+                stack.append((infix, node.right, prec))
+                node, ctx = node.left, prec + 1
+            else:
+                break
+            cls = type(node)
+        if cls is Prop:
+            write(node.name)
+        elif cls is TrueBool:
+            write("true")
+        elif cls is FalseBool:
+            write("false")
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return "".join(out), deepest
 
 
 # --- evaluation --------------------------------------------------------------
@@ -336,7 +365,7 @@ def _operands(node: Formula) -> tuple:
     cls = type(node)
     if cls in _BINARY:
         return (node.left, node.right)
-    if cls in _UNARY_TEXT or cls in _UNARY_SPACED:
+    if cls in _UNARY_TEXT:
         return (node.operand,)
     if cls in (Prop, TrueBool, FalseBool):
         return ()
@@ -457,77 +486,129 @@ def condition_formula(cond: Condition) -> Formula:
     raise TypeError(f"not a condition: {cond!r}")
 
 
-def _conj(*parts: Formula) -> Formula:
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = And(part, out)
-    return out
+# Bounded existence's formula grows with k, so its cells generate a block b
+# from the slots p, r and k.
 
-
-def _bounded_globally(p: Formula, k: int) -> Formula:
+def _bounded_globally(slots: dict) -> Formula:
     # F(0) = [](!p); F(k) = !p W (p W F(k-1))
-    not_p = Not(p)
+    not_p = Not(slots["p"])
     out: Formula = Always(not_p)
-    for _ in range(k):
-        out = WeakUntil(not_p, WeakUntil(p, out))
+    for _ in range(slots["k"]):
+        out = WeakUntil(not_p, WeakUntil(slots["p"], out))
     return out
 
 
-def _bounded_window_seed(p: Formula, r: Formula, k: int, weak: bool) -> Formula:
+def _bounded_window_seed(slots: dict, weak: bool = False) -> Formula:
     """Block-count check started at a window-opening position (where r may
     coincide with the opener and is therefore not inspected). The window
     closes at the first later r; with `weak` it may instead run to the end
     of the trace. A gap continuation allows `budget` further block starts;
     a block continuation is inside a block with `budget` starts after it.
+    Both are built upwards from budget 0, so that gap(budget) contains
+    block(budget - 1) and gap(k) contains the block(k - 1) the seed needs.
     """
+    p, r, k = slots["p"], slots["r"], slots["k"]
     step = WeakNext if weak else Next
     link = WeakUntil if weak else Until
     not_p, not_r = Not(p), Not(r)
     in_gap = And(not_p, not_r)
     in_block = And(p, not_r)
-
-    def gap(budget: int) -> Formula:
-        if budget == 0:
-            return link(in_gap, r)
-        return link(in_gap, Or(r, _conj(p, not_r, block(budget - 1))))
-
-    def block(budget: int) -> Formula:
-        return link(in_block, Or(r, _conj(not_p, not_r, gap(budget))))
-
+    gap = link(in_gap, r)
+    for _ in range(k):
+        block = link(in_block, Or(r, And(not_p, And(not_r, gap))))
+        gap = link(in_gap, Or(r, And(p, And(not_r, block))))
     if k == 0:
-        return And(not_p, step(gap(0)))
-    return And(Implies(p, step(block(k - 1))), Implies(not_p, step(gap(k))))
+        return And(not_p, step(gap))
+    return And(Implies(p, step(block)), Implies(not_p, step(gap)))
 
 
-def _anchored_never(q: Formula, r: Formula, fail_at_opener: Formula) -> Formula:
+def _anchored(fail_at_opener: str) -> str:
     """No segment fails, anchored at the points where the cursor scan restarts.
 
     Starting from position 0 or from any r-position, the next segment opens
     either at the anchor itself (when it carries q) or at the first later
     q-position reached without crossing another restart point; later openers
-    that coincide with an r are left to that r's own anchor. `fail_at_opener`
+    that coincide with an r are left to that r's own anchor. The argument
     is the failure condition evaluated at the opener. Anchoring at exactly
     the restart points is what ties the formula to the first-delimiter
     segment semantics rather than to every delimiter occurrence.
     """
-    fail = Or(
-        And(q, fail_at_opener),
-        And(
-            Not(q),
-            Next(Until(And(Not(q), Not(r)), _conj(q, Not(r), fail_at_opener))),
-        ),
-    )
-    return And(Not(fail), Always(Implies(r, Not(fail))))
+    f = f"({fail_at_opener})"
+    fail = f"q && {f} || !q && X ((!q && !r) U (q && !r && {f}))"
+    return f"!({fail}) && [](r -> !({fail}))"
 
 
-# The largest bounded-existence k whose formula prints and parses back. Under
-# before, between and after_until each unit of k nests the printed formula
-# two parentheses deeper, 2k + 4 in all, and the parser stops at
-# MAX_NESTING. Under globally and after the formula prints as a flat W chain,
-# but print_formula recurses once per level, 2k + 1 of them, so k stays
-# at MAX_NESTING there.
-_MAX_WINDOWED_K = (MAX_NESTING - 4) // 2
-_MAX_UNWINDOWED_K = MAX_NESTING
+# The library of requirement templates: one formula per (pattern tag, scope
+# tag) cell of the catalogue, with strict response as a pattern of its own.
+# A cell is formula text over the placeholders p, s, q and r, which stand for
+# the requirement's conditions of those names; a bounded-existence cell pairs
+# its text with the generator of its block b. A cell absent here (the chains
+# under every scope, strict response outside globally) has no formula.
+_TEMPLATES: dict[tuple[str, str], str | tuple[str, Callable[[dict], Formula]]] = {
+    ("absence", "globally"): "[]!p",
+    ("universality", "globally"): "[]p",
+    ("existence", "globally"): "<>p",
+    ("bounded_existence", "globally"): ("b", _bounded_globally),
+    ("precedence", "globally"): "!p W s",
+    ("response", "globally"): "[](p -> <>s)",
+    ("strict_response", "globally"): "[](p -> X <>s)",
+    ("absence", "before"): "<>r -> !p U r",
+    ("universality", "before"): "<>r -> p U r",
+    ("existence", "before"): "!r W (p && !r)",
+    ("bounded_existence", "before"): ("<>r -> r || b", _bounded_window_seed),
+    ("precedence", "before"): "<>r -> !p U (s || r)",
+    ("response", "before"): "<>r -> (p -> !r U (s && !r)) U r",
+    ("absence", "after"): "[](q -> []!p)",
+    ("universality", "after"): "[](q -> []p)",
+    ("existence", "after"): "[]!q || <>(q && <>p)",
+    ("bounded_existence", "after"): ("[](q -> b)", _bounded_globally),
+    ("precedence", "after"): "!q W (q && !p W s)",
+    ("response", "after"): "[](q -> [](p -> <>s))",
+    # Under between, X <>r: the segment opened at q closes.
+    ("absence", "between"): "[](q -> X <>r -> !p && X (!p U r))",
+    ("universality", "between"): "[](q -> X <>r -> p && X (p U r))",
+    ("existence", "between"): _anchored("!p && X ((!p && !r) U r)"),
+    ("bounded_existence", "between"): ("[](q -> X <>r -> b)", _bounded_window_seed),
+    ("precedence", "between"): _anchored("!s && (p && X <>r || X ((!s && !r) U (p && !s && !r && <>r)))"),
+    ("response", "between"): "[](q -> X <>r -> (p -> s || X (!r U (s && !r))) && X ((p -> !r U (s && !r)) U r))",
+    ("absence", "after_until"): "[](q -> !p && WX (!p W r))",
+    ("universality", "after_until"): "[](q -> p && WX (p W r))",
+    ("existence", "after_until"): _anchored("!p && WX ((!p && !r) W r)"),
+    ("bounded_existence", "after_until"): ("[](q -> b)", lambda slots: _bounded_window_seed(slots, weak=True)),
+    ("precedence", "after_until"): _anchored("!s && (p || X ((!s && !r) U (p && !s && !r)))"),
+    ("response", "after_until"): "[](q -> (p -> s || X (!r U (s && !r))) && WX ((p -> !r U (s && !r)) W r))",
+}
+
+
+@cache
+def _template(cell: tuple[str, str]) -> tuple[tuple[tuple, ...], Callable[[dict], Formula] | None]:
+    """A cell's template, parsed on first use and kept as its evaluation
+    program, and its block generator."""
+    entry = _TEMPLATES.get(cell)
+    if entry is None:
+        raise UnsupportedPattern(f"no emitted formula for {cell[0]} under {cell[1]}")
+    text, block = entry if isinstance(entry, tuple) else (entry, None)
+    return _compile(parse(text)), block
+
+
+def _instantiate(program: tuple[tuple, ...], slots: dict[str, Formula]) -> Formula:
+    """The template with each placeholder replaced by its slot's formula.
+
+    One pass over the template's program, which lists its structurally
+    distinct subformulas in post-order, so a subformula the text repeats is
+    built once and shared. Slot formulas are inserted, never searched, so an
+    atom in them named like a placeholder stays itself."""
+    built: list[Formula] = []
+    for op, a, b in program:
+        if op is Prop:
+            built.append(slots[a])
+        elif b is not None:
+            built.append(op(built[a], built[b]))
+        elif a is not None:
+            built.append(op(built[a]))
+        else:
+            built.append(op())
+    return built[-1]
 
 
 def emit_ltl(req: Requirement) -> Formula:
@@ -538,160 +619,28 @@ def emit_ltl(req: Requirement) -> Formula:
     match the cursor-based segment semantics (segments open at the first
     delimiter occurrence after the previous close, not at every occurrence),
     and the suite enforces the agreement by exhaustive enumeration.
+
+    Only formulas whose text parses back are emitted: one whose printed
+    parentheses nest more than MAX_NESTING deep is UnsupportedPattern, and
+    so, before anything is built, is bounded existence with k above
+    MAX_NESTING.
     """
-    pattern = req.pattern
-    scope = req.scope
-
-    if isinstance(pattern, Response) and pattern.strict and not isinstance(scope, Globally):
-        raise UnsupportedPattern("strict response is only emitted under the global scope")
-    if isinstance(pattern, BoundedExistence):
-        bound = _MAX_WINDOWED_K if isinstance(scope, (Before, Between, AfterUntil)) else _MAX_UNWINDOWED_K
-        if pattern.k > bound:
-            tag = TAGS[type(scope)]
-            raise UnsupportedPattern(f"bounded existence is only emitted for k <= {bound} under {tag}")
-
-    if isinstance(scope, Globally):
-        return _emit_global(pattern)
-    if isinstance(scope, Before):
-        return _emit_before(pattern, condition_formula(scope.r))
-    if isinstance(scope, After):
-        return _emit_after(pattern, condition_formula(scope.q))
-    if isinstance(scope, Between):
-        return _emit_between(pattern, condition_formula(scope.q), condition_formula(scope.r))
-    if isinstance(scope, AfterUntil):
-        return _emit_after_until(pattern, condition_formula(scope.q), condition_formula(scope.r))
-    raise TypeError(f"not a scope: {scope!r}")
-
-
-def _pattern_parts(pattern) -> tuple[Formula, Formula | None]:
-    if isinstance(pattern, (Absence, Universality, Existence, BoundedExistence)):
-        return condition_formula(pattern.p), None
-    if isinstance(pattern, (Precedence, Response)):
-        return condition_formula(pattern.p), condition_formula(pattern.s)
-    raise UnsupportedPattern(f"no emitted formula for {type(pattern).__name__}")
-
-
-def _emit_global(pattern) -> Formula:
-    p, s = _pattern_parts(pattern)
-    if isinstance(pattern, Absence):
-        return Always(Not(p))
-    if isinstance(pattern, Universality):
-        return Always(p)
-    if isinstance(pattern, Existence):
-        return Eventually(p)
-    if isinstance(pattern, BoundedExistence):
-        return _bounded_globally(p, pattern.k)
-    if isinstance(pattern, Precedence):
-        return WeakUntil(Not(p), s)
-    assert isinstance(pattern, Response) and s is not None
-    if pattern.strict:
-        return Always(Implies(p, Next(Eventually(s))))
-    return Always(Implies(p, Eventually(s)))
-
-
-def _emit_before(pattern, r: Formula) -> Formula:
-    p, s = _pattern_parts(pattern)
-    if isinstance(pattern, Absence):
-        return Implies(Eventually(r), Until(Not(p), r))
-    if isinstance(pattern, Universality):
-        return Implies(Eventually(r), Until(p, r))
-    if isinstance(pattern, Existence):
-        return WeakUntil(Not(r), And(p, Not(r)))
-    if isinstance(pattern, BoundedExistence):
-        return Implies(Eventually(r), Or(r, _bounded_window_seed(p, r, pattern.k, weak=False)))
-    if isinstance(pattern, Precedence):
-        assert s is not None
-        return Implies(Eventually(r), Until(Not(p), Or(s, r)))
-    assert isinstance(pattern, Response) and s is not None
-    return Implies(Eventually(r), Until(Implies(p, Until(Not(r), And(s, Not(r)))), r))
-
-
-def _emit_after(pattern, q: Formula) -> Formula:
-    p, s = _pattern_parts(pattern)
-    if isinstance(pattern, Absence):
-        return Always(Implies(q, Always(Not(p))))
-    if isinstance(pattern, Universality):
-        return Always(Implies(q, Always(p)))
-    if isinstance(pattern, Existence):
-        return Or(Always(Not(q)), Eventually(And(q, Eventually(p))))
-    if isinstance(pattern, BoundedExistence):
-        return Always(Implies(q, _bounded_globally(p, pattern.k)))
-    if isinstance(pattern, Precedence):
-        assert s is not None
-        return WeakUntil(Not(q), And(q, WeakUntil(Not(p), s)))
-    assert isinstance(pattern, Response) and s is not None
-    return Always(Implies(q, Always(Implies(p, Eventually(s)))))
-
-
-def _answered_within(s: Formula, r: Formula) -> Formula:
-    # From a position inside a window: s occurs before the window closes.
-    return Until(Not(r), And(s, Not(r)))
-
-
-def _emit_between(pattern, q: Formula, r: Formula) -> Formula:
-    p, s = _pattern_parts(pattern)
-    closed = Next(Eventually(r))
-    if isinstance(pattern, Absence):
-        return Always(Implies(q, Implies(closed, And(Not(p), Next(Until(Not(p), r))))))
-    if isinstance(pattern, Universality):
-        return Always(Implies(q, Implies(closed, And(p, Next(Until(p, r))))))
-    if isinstance(pattern, Existence):
-        fail = _conj(Not(p), Next(Until(And(Not(p), Not(r)), r)))
-        return _anchored_never(q, r, fail)
-    if isinstance(pattern, BoundedExistence):
-        return Always(Implies(q, Implies(closed, _bounded_window_seed(p, r, pattern.k, weak=False))))
-    if isinstance(pattern, Precedence):
-        assert s is not None
-        fail = And(
-            Not(s),
-            Or(
-                And(p, Next(Eventually(r))),
-                Next(Until(And(Not(s), Not(r)), _conj(p, Not(s), Not(r), Eventually(r)))),
-            ),
+    pattern, scope = req.pattern, req.scope
+    pattern_tag = TAGS.get(type(pattern), type(pattern).__name__)
+    if getattr(pattern, "strict", False):
+        pattern_tag = "strict_" + pattern_tag
+    scope_tag = TAGS.get(type(scope), type(scope).__name__)
+    template, block = _template((pattern_tag, scope_tag))
+    slots = mapped_fields(pattern, condition_formula) | mapped_fields(scope, condition_formula)
+    if block is not None:
+        if slots["k"] > MAX_NESTING:
+            raise UnsupportedPattern(f"bounded existence is only emitted for k <= {MAX_NESTING}")
+        slots["b"] = block(slots)
+    formula = _instantiate(template, slots)
+    depth = formula._rendered[1]
+    if depth > MAX_NESTING:
+        raise UnsupportedPattern(
+            f"the {pattern_tag} formula under {scope_tag} nests parentheses {depth} deep,"
+            f" more than the {MAX_NESTING} that parse back"
         )
-        return _anchored_never(q, r, fail)
-    assert isinstance(pattern, Response) and s is not None
-    answered = _answered_within(s, r)
-    return Always(
-        Implies(
-            q,
-            Implies(
-                closed,
-                And(
-                    Implies(p, Or(s, Next(answered))),
-                    Next(Until(Implies(p, answered), r)),
-                ),
-            ),
-        )
-    )
-
-
-def _emit_after_until(pattern, q: Formula, r: Formula) -> Formula:
-    p, s = _pattern_parts(pattern)
-    if isinstance(pattern, Absence):
-        return Always(Implies(q, And(Not(p), WeakNext(WeakUntil(Not(p), r)))))
-    if isinstance(pattern, Universality):
-        return Always(Implies(q, And(p, WeakNext(WeakUntil(p, r)))))
-    if isinstance(pattern, Existence):
-        fail = _conj(Not(p), WeakNext(WeakUntil(And(Not(p), Not(r)), r)))
-        return _anchored_never(q, r, fail)
-    if isinstance(pattern, BoundedExistence):
-        return Always(Implies(q, _bounded_window_seed(p, r, pattern.k, weak=True)))
-    if isinstance(pattern, Precedence):
-        assert s is not None
-        fail = And(
-            Not(s),
-            Or(p, Next(Until(And(Not(s), Not(r)), _conj(p, Not(s), Not(r))))),
-        )
-        return _anchored_never(q, r, fail)
-    assert isinstance(pattern, Response) and s is not None
-    answered = _answered_within(s, r)
-    return Always(
-        Implies(
-            q,
-            And(
-                Implies(p, Or(s, Next(answered))),
-                WeakNext(WeakUntil(Implies(p, answered), r)),
-            ),
-        )
-    )
+    return formula

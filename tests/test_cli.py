@@ -235,7 +235,35 @@ def test_emit_reports_bounded_existence_beyond_the_emission_bound_as_unsupported
         )
     )
     code, out = run(capsys, "emit", "--suite", str(suite))
-    assert out == "MANY: unsupported (bounded existence is only emitted for k <= 98 under between)\n"
+    assert out == (
+        "MANY: unsupported (the bounded_existence formula under between nests parentheses 284 deep,"
+        " more than the 200 that parse back)\n"
+    )
+    assert code == 0
+
+
+def test_emit_refuses_compound_bounded_existence_whose_text_would_not_parse_back(capsys, tmp_path):
+    suite = tmp_path / "compound_bounded.json"
+    suite.write_text(
+        json.dumps(
+            {
+                # Not an atom name, so the formula shows the condition itself.
+                "conditions": {"A or B": "a || b", "q": "q", "r": "r"},
+                "requirements": [
+                    {
+                        "name": "EITHER",
+                        "pattern": {"type": "bounded_existence", "p": "A or B", "k": 98},
+                        "scope": {"type": "between", "q": "q", "r": "r"},
+                    },
+                ],
+            }
+        )
+    )
+    code, out = run(capsys, "emit", "--suite", str(suite))
+    assert out == (
+        "EITHER: unsupported (the bounded_existence formula under between nests parentheses 201 deep,"
+        " more than the 200 that parse back)\n"
+    )
     assert code == 0
 
 

@@ -2,14 +2,19 @@
 small-scale version of the exhaustive equivalence check (the acceptance suite
 runs the full one)."""
 
+import dataclasses
+import functools
+import itertools
 import random
+import re
 
 import pytest
 
 from reqpat.conditions import And as CondAnd
 from reqpat.conditions import Not as CondNot
 from reqpat.conditions import ConditionSyntaxError, MAX_NESTING, Ref, parse_condition
-from reqpat.ltl import UnsupportedPattern, emit_ltl, eval_ltlf, parse, print_formula
+from reqpat import patterns
+from reqpat.ltl import _TEMPLATES, Prop, UnsupportedPattern, emit_ltl, eval_ltlf, parse, print_formula
 from reqpat.patterns import (
     Absence,
     After,
@@ -25,8 +30,10 @@ from reqpat.patterns import (
     Requirement,
     Response,
     ResponseChain,
+    TAGS,
     Universality,
     check,
+    map_conditions,
 )
 
 from helpers import all_traces, random_trace, reference_eval_ltlf
@@ -149,7 +156,14 @@ def test_bounded_existence_emits_up_to_the_largest_k_that_round_trips(scope):
     assert k == ((MAX_NESTING - 4) // 2 if windowed else MAX_NESTING)
     text = print_formula(emit_ltl(req(BoundedExistence(P, k), scope)))
     assert print_formula(parse(text)) == text
-    with pytest.raises(UnsupportedPattern, match=f"k <= {k} "):
+    if windowed:
+        # k + 1 nests the text two parentheses deeper than k.
+        depth = MAX_NESTING + (1 if isinstance(scope, Before) else 2)
+        refusal = f"the bounded_existence formula under {TAGS[type(scope)]} nests parentheses {depth} deep,"
+        refusal += f" more than the {MAX_NESTING} that parse back"
+    else:
+        refusal = f"bounded existence is only emitted for k <= {k}"
+    with pytest.raises(UnsupportedPattern, match=f"^{re.escape(refusal)}$"):
         emit_ltl(req(BoundedExistence(P, k + 1), scope))
 
 
@@ -161,6 +175,85 @@ def test_bounded_existence_at_the_largest_k_agrees_with_check(scope):
     for _ in range(200):
         trace = random_trace(rng, min_len=1, max_len=60)
         assert eval_ltlf(formula, trace, 0) == isinstance(check(requirement, trace), Holds)
+
+
+def _nesting(text: str) -> int:
+    return max(itertools.accumulate(1 if paren == "(" else -1 for paren in re.findall(r"[()]", text)), default=0)
+
+
+@functools.cache
+def _near_bound_condition(name: str):
+    return parse_condition("a || b") if name == "a_or_b" else _deepest_condition(DEEPEST_SHAPES[name])
+
+
+@pytest.mark.parametrize("condition", ["a_or_b", *DEEPEST_SHAPES])
+@pytest.mark.parametrize("scope_cls", [Globally, Before, After, Between, AfterUntil], ids=lambda cls: cls.__name__)
+def test_bounded_existence_near_the_bound_is_refused_or_parses_back(condition, scope_cls):
+    """Compound conditions nest the windowed formulas deeper than atoms do,
+    so the bound on k alone does not keep their text parseable."""
+    c = _near_bound_condition(condition)
+    scope = scope_cls(*[c] * len(dataclasses.fields(scope_cls)))
+    for k in (97, 98, 99):
+        try:
+            formula = emit_ltl(req(BoundedExistence(c, k), scope))
+        except UnsupportedPattern:
+            continue
+        text = print_formula(formula)
+        if condition == "a_or_b":
+            # Compared as text: == on a tree this deep exhausts the stack.
+            assert print_formula(parse(text)) == text
+        else:
+            # Texts of up to 2 MB, too slow to parse here; the parser rejects
+            # exactly the nesting checked (the k = 2 round trip above parses
+            # these conditions in full).
+            assert _nesting(text) <= MAX_NESTING
+
+
+TAGGED_PATTERNS = [*patterns.PATTERNS, "strict_response"]
+
+
+def test_every_catalogue_cell_has_a_template_or_is_documented_unsupported():
+    unsupported = {
+        (pattern, scope)
+        for pattern, scope in itertools.product(TAGGED_PATTERNS, patterns.SCOPES)
+        if pattern in ("response_chain", "precedence_chain") or (pattern == "strict_response" and scope != "globally")
+    }
+    for cell in itertools.product(TAGGED_PATTERNS, patterns.SCOPES):
+        assert (cell in _TEMPLATES) != (cell in unsupported), cell
+    assert set(_TEMPLATES) <= set(itertools.product(TAGGED_PATTERNS, patterns.SCOPES))
+
+
+def test_unsupported_cells_name_both_tags():
+    with pytest.raises(UnsupportedPattern, match="^no emitted formula for strict_response under between$"):
+        emit_ltl(req(Response(P, S, strict=True), Between(Q, R)))
+    with pytest.raises(UnsupportedPattern, match="^no emitted formula for precedence_chain under globally$"):
+        emit_ltl(req(PrecedenceChain([S], P), Globally()))
+
+
+def _renamed(formula, names: dict[str, str]):
+    if isinstance(formula, Prop):
+        return Prop(names[formula.name])
+    return type(formula)(*[_renamed(getattr(formula, f.name), names) for f in dataclasses.fields(formula)])
+
+
+@pytest.mark.parametrize("pattern,pattern_atoms", CORE_PATTERNS)
+@pytest.mark.parametrize("scope,scope_atoms", ALL_SCOPES)
+def test_atoms_named_like_placeholders_are_not_captured(pattern, pattern_atoms, scope, scope_atoms):
+    """Each role's condition is over the atoms named after two other roles.
+    Emitting that equals emitting over fresh atoms and renaming them."""
+    successor = {"p": "q", "q": "r", "r": "s", "s": "p"}
+    fresh = {"p": "a", "q": "b", "r": "c", "s": "d"}
+
+    def emitted(names: dict[str, str]):
+        def role(cond):
+            first = successor[cond.name]
+            return CondAnd(Ref(names[first]), CondNot(Ref(names[successor[first]])))
+
+        return emit_ltl(map_conditions(req(pattern, scope), role))
+
+    unchanged = {name: name for name in fresh}
+    back = {atom: name for name, atom in fresh.items()}
+    assert emitted(unchanged) == _renamed(emitted(fresh), back)
 
 
 CELLS = [

@@ -229,3 +229,16 @@ def test_eval_rejects_non_formulas_and_caches_nothing(formula):
     with pytest.raises(TypeError, match="not a formula"):
         eval_ltlf(formula, Trace.of({"p"}), 0)
     assert "_program" not in getattr(formula, "__dict__", {})
+
+
+def test_print_of_5000_nested_parentheses_does_not_recurse():
+    formula = And(Prop("p"), Prop("q"))
+    for _ in range(4999):
+        formula = And(formula, Prop("q"))
+    assert print_formula(formula) == "(" * 4999 + "p && q" + ") && q" * 4999
+
+
+@pytest.mark.parametrize("formula", [Ref("p"), "p", Not(Ref("p"))])
+def test_print_rejects_non_formulas(formula):
+    with pytest.raises(TypeError, match="not a formula"):
+        print_formula(formula)
