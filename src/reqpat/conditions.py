@@ -5,13 +5,18 @@ just the set of atom names that hold at one instant, and a condition is a
 boolean expression over atom membership. Atoms absent from a state are false.
 Each condition class evaluates itself: `cond.holds(state)` is the condition's
 truth value in that state, and `eval_condition` is the checked entry point.
+
+The module also holds the engine that reads and writes text grammars given
+as tables (`Grammar`): conditions (`CONDITIONS`) here, and the formulas of
+`ltl`, whose propositional part conditions are.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 ATOM_RE = re.compile(r"[a-z_][a-z0-9_]*")
 
@@ -132,35 +137,172 @@ def condition_atoms(expr: Condition) -> frozenset[str]:
     raise TypeError(f"not a condition: {expr!r}")
 
 
-# Printing / parsing of the condition text grammar:
-#   expr := or ; or := and ('||' or)? ; and := unary ('&&' and)?
-#   unary := '!' unary | 'true' | 'false' | atom | '(' expr ')'
+# --- text --------------------------------------------------------------------
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_LEAF = 4
+# Nesting bound of the text grammars, and so of every condition and formula
+# loaded from text. Hashing, comparing and printing a condition recurse
+# through the interpreter at up to three stack levels per operator; the bound
+# keeps all of them well inside its default recursion limit.
+MAX_NESTING = 200
 
-
-def format_condition(expr: Condition) -> str:
-    """Render a condition in the text grammar; parse_condition inverts it."""
-    return _format(expr, 0)
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
-def _format(expr: Condition, ctx: int) -> str:
-    if isinstance(expr, Const):
-        return "true" if expr.value else "false"
-    if isinstance(expr, Ref):
-        return expr.name
-    if isinstance(expr, Not):
-        return "!" + _format(expr.inner, _PREC_NOT)
-    if isinstance(expr, And):
-        text = _format(expr.left, _PREC_AND + 1) + " && " + _format(expr.right, _PREC_AND)
-        return f"({text})" if ctx > _PREC_AND else text
-    if isinstance(expr, Or):
-        text = _format(expr.left, _PREC_OR + 1) + " || " + _format(expr.right, _PREC_OR)
-        return f"({text})" if ctx > _PREC_OR else text
-    raise TypeError(f"not a condition: {expr!r}")
+class Grammar:
+    """A text grammar given as table data, read and written by one engine.
+
+    `prefix` maps each unary operator token to its node class, and `infix`
+    each binary one to its node class and precedence (at least 1, higher
+    binds tighter). Every binary operator associates to the right, unary
+    operators bind tightest, and '(' ')' group. A class prints as its first
+    token, a letter operator with a space after it. `constants` maps each
+    keyword to its node, `atom` builds the node of an atom name, `error` is
+    raised with a message and an offset, and `noun` names what is parsed.
+    `nesting` is (base, per operator, per parenthesis): an operand is
+    refused when base + per operator x the operators pending + per
+    parenthesis x the open parentheses, one that the operand opens
+    included, exceeds MAX_NESTING.
+    """
+
+    def __init__(self, noun: str, error: type, atom: type, constants: dict, prefix: dict, infix: dict,
+                 nesting: tuple[int, int, int]):
+        self.noun, self.error, self.atom = noun, error, atom
+        self.constants, self.prefix, self.infix, self.nesting = constants, prefix, infix, nesting
+        self.keywords = frozenset([*constants, *prefix, *infix, "(", ")"])
+        words = sorted(token for token in self.keywords if re.fullmatch(_WORD, token))
+        symbols = "|".join(map(re.escape, sorted(self.keywords.difference(words), key=len, reverse=True)))
+        # A token is a symbol, a word, any other character, or the end of the
+        # text, after whitespace: every offset matches, so a scan is linear.
+        tokens = re.compile(rf"\s*({symbols}|{_WORD}|\S|\Z)")
+        self._split, self._scan = tokens.findall, tokens.finditer
+        self.unary: dict[type, tuple[str, str]] = {}
+        for token, cls in prefix.items():
+            text = token + " " if token in words else token
+            self.unary.setdefault(cls, (text, dataclasses.fields(cls)[0].name))
+        self.binary = {cls: (f" {token} ", prec) for token, (cls, prec) in infix.items()}
+        self.unary_prec = max(prec for _, prec in infix.values()) + 1
+        self.constant_text = {node: token for token, node in constants.items()}
+        self.constant_classes = {type(node) for node in constants.values()}
+
+    def parse(self, text: str):
+        """The tree of the text. Every token is checked before any is parsed,
+        so the first bad token is the error even after a syntax error."""
+        tokens = self._split(text)
+        bad = {token for token in set(tokens).difference(self.keywords, [""]) if not ATOM_RE.fullmatch(token)}
+        if bad:
+            match = next(match for match in self._scan(text) if match[1] in bad)
+            what = "invalid atom name" if re.match(_WORD, match[1]) else "unexpected character"
+            raise self.error(f"{what} {match[1]!r}", match.start(1))
+        parser = _Parser(self, text, tokens)
+        node = parser.expression(0, 0)
+        if tokens[parser.index]:
+            parser.fail(f"unexpected trailing token {tokens[parser.index]!r}", parser.index)
+        return node
+
+    def render(self, node) -> tuple[str, int]:
+        """The node's text with the fewest parentheses that parse back, and
+        how deep those parentheses nest.
+
+        Written left to right without recursion: the loop walks down a left
+        spine and stacks each right operand with the text that precedes it,
+        and each closing parenthesis with no operand, so a tree of any depth
+        renders."""
+        unary, binary = self.unary, self.binary
+        out: list[str] = []
+        write = out.append
+        stack: list = [("", node, 0)]
+        depth = deepest = 0
+        while stack:
+            text, node, ctx = stack.pop()
+            write(text)
+            if node is None:
+                depth -= 1
+                continue
+            cls = type(node)
+            while True:
+                if cls in unary:
+                    prefix, field = unary[cls]
+                    write(prefix)
+                    node, ctx = getattr(node, field), self.unary_prec
+                elif cls in binary:
+                    infix, prec = binary[cls]
+                    if prec < ctx:
+                        write("(")
+                        depth += 1
+                        deepest = max(deepest, depth)
+                        stack.append((")", None, 0))
+                    stack.append((infix, node.right, prec))
+                    node, ctx = node.left, prec + 1
+                else:
+                    break
+                cls = type(node)
+            if cls is self.atom:
+                write(node.name)
+            elif cls in self.constant_classes and node in self.constant_text:
+                write(self.constant_text[node])
+            else:
+                raise TypeError(f"not a {self.noun}: {node!r}")
+        return "".join(out), deepest
+
+
+class _Parser:
+    """One pass over a grammar's tokens, the end of the text being "".
+    Chains of operators are read in loops, so the parser recurses only into
+    parentheses."""
+
+    def __init__(self, grammar: Grammar, text: str, tokens: list[str]):
+        self.grammar, self.text, self.tokens = grammar, text, tokens
+        self.index = 0
+
+    def fail(self, message: str, index: int) -> NoReturn:
+        offsets = [match.start(1) for match in self.grammar._scan(self.text)]
+        raise self.grammar.error(message, offsets[index])
+
+    def expression(self, parens: int, pending: int):
+        infix = self.grammar.infix
+        operands = [self.operand(parens, pending)]
+        ops: list[tuple[type, int]] = []
+        while True:
+            cls, prec = infix.get(self.tokens[self.index], (None, 0))
+            # Operators associate to the right: reduce only those that bind
+            # more tightly; the end of the chain reduces all.
+            while ops and ops[-1][1] > prec:
+                right = operands.pop()
+                operands[-1] = ops.pop()[0](operands[-1], right)
+            if cls is None:
+                return operands[0]
+            self.index += 1
+            ops.append((cls, prec))
+            operands.append(self.operand(parens, pending + len(ops)))
+
+    def operand(self, parens: int, pending: int):
+        grammar, tokens = self.grammar, self.tokens
+        base, per_operator, per_paren = grammar.nesting
+        unary = []
+        while True:
+            token = tokens[self.index]
+            opening = token == "("
+            if base + per_operator * (pending + len(unary)) + per_paren * (parens + opening) > MAX_NESTING:
+                self.fail(f"{grammar.noun} nests too deeply", self.index)
+            self.index += 1
+            cls = grammar.prefix.get(token)
+            if cls is None:
+                break
+            unary.append(cls)
+        if opening:
+            node = self.expression(parens + 1, pending + len(unary))
+            if tokens[self.index] != ")":
+                self.fail("expected ')'", self.index)
+            self.index += 1
+        elif token in grammar.constants:
+            node = grammar.constants[token]
+        elif token not in grammar.keywords and token:
+            node = grammar.atom(token)
+        else:
+            self.fail(f"unexpected token {token!r}" if token else "unexpected end of input", self.index - 1)
+        for cls in reversed(unary):
+            node = cls(node)
+        return node
 
 
 class ConditionSyntaxError(ValueError):
@@ -169,73 +311,25 @@ class ConditionSyntaxError(ValueError):
         self.position = position
 
 
-# Nesting bound of the parser, and so of every condition loaded from text.
-# Hashing, comparing and printing a condition recurse through the interpreter
-# at up to three stack levels per operator; the bound keeps all of them well
-# inside its default recursion limit.
-MAX_NESTING = 200
+# A condition is the propositional part of the formula grammar. Its nesting
+# rule charges what a recursive-descent parser spends in call depth: two to
+# start, one per pending operator and three per parenthesis, so 199 flat
+# terms load, and an atom inside 66 parentheses.
+CONDITIONS = Grammar(
+    noun="condition",
+    error=ConditionSyntaxError,
+    atom=Ref,
+    constants={"true": Const(True), "false": Const(False)},
+    prefix={"!": Not},
+    infix={"||": (Or, 1), "&&": (And, 2)},
+    nesting=(2, 1, 3),
+)
 
 
 def parse_condition(text: str) -> Condition:
-    parser = _ConditionParser(text)
-    expr = parser.parse_or(0)
-    parser.expect_end()
-    return expr
+    return CONDITIONS.parse(text)
 
 
-class _ConditionParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _accept(self, literal: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def parse_or(self, depth: int) -> Condition:
-        left = self.parse_and(depth + 1)
-        if self._accept("||"):
-            return Or(left, self.parse_or(depth + 1))
-        return left
-
-    def parse_and(self, depth: int) -> Condition:
-        left = self.parse_unary(depth + 1)
-        if self._accept("&&"):
-            return And(left, self.parse_and(depth + 1))
-        return left
-
-    def parse_unary(self, depth: int) -> Condition:
-        # Every descent of the parser passes through here.
-        if depth > MAX_NESTING:
-            raise ConditionSyntaxError("condition nests too deeply", self.pos)
-        if self._accept("!"):
-            return Not(self.parse_unary(depth + 1))
-        if self._accept("("):
-            inner = self.parse_or(depth + 1)
-            if not self._accept(")"):
-                raise ConditionSyntaxError("expected ')'", self.pos)
-            return inner
-        self._skip_ws()
-        match = ATOM_RE.match(self.text, self.pos)
-        if match is None:
-            what = "end of input" if self.pos >= len(self.text) else f"{self.text[self.pos]!r}"
-            raise ConditionSyntaxError(f"expected a condition, found {what}", self.pos)
-        self.pos = match.end()
-        word = match.group()
-        if word == "true":
-            return Const(True)
-        if word == "false":
-            return Const(False)
-        return Ref(word)
-
-    def expect_end(self) -> None:
-        self._skip_ws()
-        if self.pos < len(self.text):
-            raise ConditionSyntaxError(f"unexpected trailing input {self.text[self.pos]!r}", self.pos)
+def format_condition(expr: Condition) -> str:
+    """Render a condition in the text grammar; parse_condition inverts it."""
+    return CONDITIONS.render(expr)[0]

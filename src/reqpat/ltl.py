@@ -1,4 +1,4 @@
-"""Finite-trace linear temporal logic: syntax tree, parser, printer, evaluator,
+"""Finite-trace linear temporal logic: syntax tree, text grammar, evaluator,
 and emission of pattern formulas from a table of templates.
 
 The evaluator is deliberately independent of the pattern checker in
@@ -32,17 +32,19 @@ Formula text grammar (whitespace insignificant):
     primary := 'true' | 'false' | atom | '(' formula ')'
 
 Atoms match ``[a-z_][a-z0-9_]*``; `F`/`G` are accepted as input aliases for
-`<>`/`[]`, which are the canonical output forms.
+`<>`/`[]`, which are the canonical output forms. Parentheses nest at most
+MAX_NESTING deep. A condition is the propositional part of this grammar:
+`FORMULAS` and `conditions.CONDITIONS` are two tables read and written by
+the one engine of `conditions.Grammar`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
 
-from .conditions import ATOM_RE, MAX_NESTING, Condition, Const, Ref, Trace, require_atom
+from .conditions import MAX_NESTING, Condition, Const, Grammar, Ref, Trace, require_atom
 from .conditions import And as CondAnd
 from .conditions import Not as CondNot
 from .conditions import Or as CondOr
@@ -64,7 +66,7 @@ class Formula:
     @cached_property
     def _rendered(self) -> tuple[str, int]:
         """The printed text and its parenthesis depth, kept like `_program`."""
-        return _render(self)
+        return FORMULAS.render(self)
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ class WeakUntil(Formula):
     right: Formula
 
 
-# --- parsing -----------------------------------------------------------------
+# --- text --------------------------------------------------------------------
 
 class LtlSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
@@ -148,158 +150,21 @@ class LtlSyntaxError(ValueError):
         self.position = position
 
 
-_SYMBOLS = (
-    ("<>", "EVENTUALLY"),
-    ("[]", "ALWAYS"),
-    ("&&", "AND"),
-    ("||", "OR"),
-    ("->", "IMPLIES"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("!", "NOT"),
+FORMULAS = Grammar(
+    noun="formula",
+    error=LtlSyntaxError,
+    atom=Prop,
+    constants={"true": TrueBool(), "false": FalseBool()},
+    prefix={"!": Not, "<>": Eventually, "F": Eventually, "[]": Always, "G": Always, "X": Next, "WX": WeakNext},
+    infix={"->": (Implies, 1), "||": (Or, 2), "&&": (And, 3), "U": (Until, 4), "W": (WeakUntil, 4)},
+    nesting=(0, 0, 1),
 )
-
-_WORDS = {
-    "X": "NEXT",
-    "WX": "WNEXT",
-    "F": "EVENTUALLY",
-    "G": "ALWAYS",
-    "U": "UNTIL",
-    "W": "WUNTIL",
-    "true": "TRUE",
-    "false": "FALSE",
-}
-
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        for literal, kind in _SYMBOLS:
-            if text.startswith(literal, pos):
-                tokens.append((kind, literal, pos))
-                pos += len(literal)
-                break
-        else:
-            match = _WORD_RE.match(text, pos)
-            if match is None:
-                raise LtlSyntaxError(f"unexpected character {ch!r}", pos)
-            word = match.group()
-            if word in _WORDS:
-                tokens.append((_WORDS[word], word, pos))
-            elif ATOM_RE.fullmatch(word):
-                tokens.append(("ATOM", word, pos))
-            else:
-                raise LtlSyntaxError(f"invalid atom name {word!r}", pos)
-            pos = match.end()
-    tokens.append(("EOF", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def take(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    # Chains of unary and of binary operators are read in loops, so the
-    # parser recurses only into parentheses; their nesting is bounded.
-
-    def parse_formula(self, depth: int) -> Formula:
-        operands = [self.parse_unary(depth)]
-        ops: list[type] = []
-        while self.peek()[0] in _BINARY_TOKENS:
-            op = _BINARY_TOKENS[self.take()[0]]
-            # Every binary operator associates to the right: reduce only
-            # operators that bind more tightly.
-            while ops and _BINARY[ops[-1]][1] > _BINARY[op][1]:
-                _reduce(operands, ops)
-            ops.append(op)
-            operands.append(self.parse_unary(depth))
-        while ops:
-            _reduce(operands, ops)
-        return operands[0]
-
-    def parse_unary(self, depth: int) -> Formula:
-        unary = []
-        kind, text, pos = self.take()
-        while kind in _UNARY_TOKENS:
-            unary.append(_UNARY_TOKENS[kind])
-            kind, text, pos = self.take()
-        if kind == "LPAREN":
-            if depth >= MAX_NESTING:
-                raise LtlSyntaxError("formula nests too deeply", pos)
-            formula = self.parse_formula(depth + 1)
-            kind, _, pos = self.take()
-            if kind != "RPAREN":
-                raise LtlSyntaxError("expected ')'", pos)
-        elif kind == "TRUE":
-            formula = TrueBool()
-        elif kind == "FALSE":
-            formula = FalseBool()
-        elif kind == "ATOM":
-            formula = Prop(text)
-        elif kind == "EOF":
-            raise LtlSyntaxError("unexpected end of input", pos)
-        else:
-            raise LtlSyntaxError(f"unexpected token {text!r}", pos)
-        for op in reversed(unary):
-            formula = op(formula)
-        return formula
-
-
-def _reduce(operands: list[Formula], ops: list[type]) -> None:
-    right = operands.pop()
-    operands[-1] = ops.pop()(operands[-1], right)
-
-
-_UNARY_TOKENS = {"NOT": Not, "NEXT": Next, "WNEXT": WeakNext, "EVENTUALLY": Eventually, "ALWAYS": Always}
-_BINARY_TOKENS = {"IMPLIES": Implies, "OR": Or, "AND": And, "UNTIL": Until, "WUNTIL": WeakUntil}
 
 
 def parse(text: str) -> Formula:
     """Parse formula text; parentheses nested more than MAX_NESTING deep are
     a syntax error."""
-    parser = _Parser(text)
-    formula = parser.parse_formula(0)
-    kind, token_text, pos = parser.peek()
-    if kind != "EOF":
-        raise LtlSyntaxError(f"unexpected trailing token {token_text!r}", pos)
-    return formula
-
-
-# --- printing ----------------------------------------------------------------
-
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_TEMPORAL = 4
-_PREC_UNARY = 5
-
-# Letter operators carry a following space so the result re-tokenizes.
-_UNARY_TEXT = {Not: "!", Eventually: "<>", Always: "[]", Next: "X ", WeakNext: "WX "}
-_BINARY = {
-    Implies: ("->", _PREC_IMPLIES),
-    Or: ("||", _PREC_OR),
-    And: ("&&", _PREC_AND),
-    Until: ("U", _PREC_TEMPORAL),
-    WeakUntil: ("W", _PREC_TEMPORAL),
-}
-_INFIX = {cls: (f" {op} ", prec) for cls, (op, prec) in _BINARY.items()}
+    return FORMULAS.parse(text)
 
 
 def print_formula(formula: Formula) -> str:
@@ -309,53 +174,6 @@ def print_formula(formula: Formula) -> str:
     return formula._rendered[0]
 
 
-def _render(formula: Formula) -> tuple[str, int]:
-    """The formula's text, and how deep its parentheses nest.
-
-    Written left to right without recursion: the loop walks down a left
-    spine and stacks each right operand with the text that precedes it,
-    and each closing parenthesis with no operand, so a formula of any depth
-    renders."""
-    out: list[str] = []
-    write = out.append
-    stack: list = [("", formula, 0)]
-    depth = deepest = 0
-    while stack:
-        text, node, ctx = stack.pop()
-        write(text)
-        if node is None:
-            depth -= 1
-            continue
-        cls = type(node)
-        while True:
-            prefix = _UNARY_TEXT.get(cls)
-            if prefix is not None:
-                write(prefix)
-                node, ctx = node.operand, _PREC_UNARY
-            elif cls in _INFIX:
-                infix, prec = _INFIX[cls]
-                if prec < ctx:
-                    write("(")
-                    depth += 1
-                    if depth > deepest:
-                        deepest = depth
-                    stack.append((")", None, 0))
-                stack.append((infix, node.right, prec))
-                node, ctx = node.left, prec + 1
-            else:
-                break
-            cls = type(node)
-        if cls is Prop:
-            write(node.name)
-        elif cls is TrueBool:
-            write("true")
-        elif cls is FalseBool:
-            write("false")
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-    return "".join(out), deepest
-
-
 # --- evaluation --------------------------------------------------------------
 #
 # A subformula's truth over a trace of length n is one int mask, with position
@@ -363,9 +181,9 @@ def _render(formula: Formula) -> tuple[str, int]:
 
 def _operands(node: Formula) -> tuple:
     cls = type(node)
-    if cls in _BINARY:
+    if cls in FORMULAS.binary:
         return (node.left, node.right)
-    if cls in _UNARY_TEXT:
+    if cls in FORMULAS.unary:
         return (node.operand,)
     if cls in (Prop, TrueBool, FalseBool):
         return ()

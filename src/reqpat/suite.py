@@ -3,9 +3,10 @@
 Suite files are JSON with two top-level keys:
 
 * ``conditions``: object mapping a condition name to condition text in the
-  grammar ``true | false | atom | !e | e && e | e || e | (e)``, where bare
-  names are atoms observed on the system under test. The parser nests at
-  most ``conditions.MAX_NESTING`` deep.
+  grammar ``true | false | atom | !e | e && e | e || e | (e)``, the
+  propositional part of the formula grammar, where bare names are atoms
+  observed on the system under test. ``conditions.CONDITIONS`` states its
+  nesting bound.
 * ``requirements``: array of ``{name, pattern, scope, meta?}`` entries.
   ``pattern`` and ``scope`` are tagged by ``type``: the tags are the keys of
   the catalogue, ``patterns.PATTERNS`` and ``patterns.SCOPES``, and the other
@@ -127,6 +128,8 @@ def load_suite(text: str) -> Suite:
         data = json.loads(text, object_pairs_hook=_check_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise MalformedSuite(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedSuite("JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise MalformedSuite("top level must be a JSON object")
 
@@ -284,6 +287,8 @@ def load_trace(text: str) -> Trace:
             atoms = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(lineno, f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise TraceFormatError(lineno, "JSON nests too deeply") from None
         if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
             raise TraceFormatError(lineno, "each line must be an array of atom names")
         for atom in atoms:

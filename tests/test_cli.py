@@ -282,6 +282,27 @@ def test_load_error_exits_2(capsys, tmp_path):
         assert code == 2
 
 
+def test_suite_json_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):
+    suite = tmp_path / "deep.json"
+    suite.write_text('{"conditions": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for command in (["check", "--trace", trace_file(tmp_path, 3)], ["render"]):
+        code = main([command[0], "--suite", str(suite), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: JSON nests too deeply\n"
+
+
+def test_trace_line_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):
+    trace = tmp_path / "deep.jsonl"
+    trace.write_text('["at_2400"]\n' + "[" * 100_000 + "]" * 100_000 + "\n")
+    code = main(["check", "--suite", clock_suite, "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: line 2: JSON nests too deeply\n"
+
+
 @pytest.mark.parametrize(
     "part, key, field",
     [(1, "pattern", "stict"), (0, "scope", "q"), (1, "meta", "source_ur")],

@@ -104,3 +104,32 @@ def test_format_parse_round_trip_random():
 def test_condition_atoms():
     cond = And(Ref("p"), Or(Not(Ref("q")), Const(True)))
     assert condition_atoms(cond) == frozenset({"p", "q"})
+
+
+NESTING_SHAPES = {
+    "and_chain": (lambda n: " && ".join(["a"] * n), 199),
+    "or_chain": (lambda n: " || ".join(["a"] * n), 199),
+    "negations": (lambda n: "!" * n + "a", 198),
+    "parentheses": (lambda n: "(" * n + "a" + ")" * n, 66),
+    "alternating_parentheses": (lambda n: "".join(("a && (", "b || (")[i % 2] for i in range(n)) + "c" + ")" * n, 49),
+    "negated_parentheses": (lambda n: "!(" * n + "a" + ")" * n, 49),
+    "conjunctions_joined_by_or": (lambda n: " || ".join(["a && b"] * n), 198),
+}
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_deepest_loadable_condition_of_each_shape(shape):
+    """A condition is refused where 2 + the pending operators + 3 x the open
+    parentheses exceeds MAX_NESTING."""
+    text, deepest = NESTING_SHAPES[shape]
+    parse_condition(text(deepest))
+    with pytest.raises(ConditionSyntaxError, match="^condition nests too deeply"):
+        parse_condition(text(deepest + 1))
+
+
+def test_format_condition_of_5000_deep_trees_does_not_recurse():
+    negations, conjunctions = Ref("a"), Ref("a")
+    for _ in range(5000):
+        negations, conjunctions = Not(negations), And(Ref("a"), conjunctions)
+    assert format_condition(negations) == "!" * 5000 + "a"
+    assert len(format_condition(conjunctions)) == 25_001
