@@ -140,9 +140,10 @@ def condition_atoms(expr: Condition) -> frozenset[str]:
 # --- text --------------------------------------------------------------------
 
 # Nesting bound of the text grammars, and so of every condition and formula
-# loaded from text. Hashing, comparing and printing a condition recurse
-# through the interpreter at up to three stack levels per operator; the bound
-# keeps all of them well inside its default recursion limit.
+# loaded from text. Evaluating, hashing, comparing and `repr` of a condition
+# recurse through the interpreter at up to three stack levels per operator;
+# the bound keeps all of them well inside its default recursion limit.
+# Printing does not recurse.
 MAX_NESTING = 200
 
 _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -186,14 +187,17 @@ class Grammar:
 
     def parse(self, text: str):
         """The tree of the text. Every token is checked before any is parsed,
-        so the first bad token is the error even after a syntax error."""
+        so the first bad token is the error even after a syntax error. Each
+        distinct atom is checked and built once; its occurrences share the
+        node."""
         tokens = self._split(text)
-        bad = {token for token in set(tokens).difference(self.keywords, [""]) if not ATOM_RE.fullmatch(token)}
+        names = set(tokens).difference(self.keywords, [""])
+        bad = {token for token in names if not ATOM_RE.fullmatch(token)}
         if bad:
             match = next(match for match in self._scan(text) if match[1] in bad)
             what = "invalid atom name" if re.match(_WORD, match[1]) else "unexpected character"
             raise self.error(f"{what} {match[1]!r}", match.start(1))
-        parser = _Parser(self, text, tokens)
+        parser = _Parser(self, text, tokens, {name: self.atom(name) for name in names})
         node = parser.expression(0, 0)
         if tokens[parser.index]:
             parser.fail(f"unexpected trailing token {tokens[parser.index]!r}", parser.index)
@@ -250,8 +254,8 @@ class _Parser:
     Chains of operators are read in loops, so the parser recurses only into
     parentheses."""
 
-    def __init__(self, grammar: Grammar, text: str, tokens: list[str]):
-        self.grammar, self.text, self.tokens = grammar, text, tokens
+    def __init__(self, grammar: Grammar, text: str, tokens: list[str], atoms: dict):
+        self.grammar, self.text, self.tokens, self.atoms = grammar, text, tokens, atoms
         self.index = 0
 
     def fail(self, message: str, index: int) -> NoReturn:
@@ -296,8 +300,8 @@ class _Parser:
             self.index += 1
         elif token in grammar.constants:
             node = grammar.constants[token]
-        elif token not in grammar.keywords and token:
-            node = grammar.atom(token)
+        elif token in self.atoms:
+            node = self.atoms[token]
         else:
             self.fail(f"unexpected token {token!r}" if token else "unexpected end of input", self.index - 1)
         for cls in reversed(unary):

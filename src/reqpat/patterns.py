@@ -6,6 +6,10 @@ evaluated on every segment. A verdict distinguishes vacuous satisfaction
 (the pattern's trigger never materialised) from substantive satisfaction,
 because a suite that only holds vacuously usually signals missing
 requirements rather than a verified system.
+
+Every catalogue entry is one class: a scope carves its own segments, a
+pattern decides a segment itself, and each carries its paraphrase template
+`phrase` as a class attribute, which is not a field.
 """
 
 from __future__ import annotations
@@ -19,41 +23,113 @@ from .conditions import Condition, Trace, eval_condition
 Segment = tuple[int, int]
 
 
+@dataclass(frozen=True)
+class Holds:
+    vacuous: bool = False
+
+
+@dataclass(frozen=True)
+class Fails:
+    segment: int
+    position: int
+    reason: str = field(default="", compare=False)
+
+
+Verdict = Holds | Fails
+
+
+# Per-position loops index `trace.states` directly, not through
+# Trace.__getitem__, and evaluate every condition through eval_condition,
+# which rejects a non-condition with TypeError; bench/tracing.py counts these
+# calls per state.
+def _first_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
+    states = trace.states
+    for k in range(start, stop):
+        if eval_condition(cond, states[k]):
+            return k
+    return None
+
+
+def _last_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
+    states = trace.states
+    for k in range(stop - 1, start - 1, -1):
+        if eval_condition(cond, states[k]):
+            return k
+    return None
+
+
 class Scope:
-    """Base class for scope variants. All variants are immutable values."""
+    """Base class for scope variants. All variants are immutable values;
+    `segments(trace)` lists the half-open segments the variant governs."""
 
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Globally(Scope):
-    pass
+    phrase = "globally"
+
+    def segments(self, trace: Trace) -> list[Segment]:
+        return [(0, len(trace))]
 
 
 @dataclass(frozen=True)
 class Before(Scope):
     r: Condition
+    phrase = "before {r}"
+
+    def segments(self, trace: Trace) -> list[Segment]:
+        idx = _first_index(self.r, trace, 0, len(trace))
+        return [] if idx is None else [(0, idx)]
 
 
 @dataclass(frozen=True)
 class After(Scope):
     q: Condition
+    phrase = "after {q}"
+
+    def segments(self, trace: Trace) -> list[Segment]:
+        n = len(trace)
+        idx = _first_index(self.q, trace, 0, n)
+        return [] if idx is None else [(idx, n)]
+
+
+def _windows(scope: Between | AfterUntil, trace: Trace, keep_open: bool) -> list[Segment]:
+    """From each q at or after the previous close to the next strictly later
+    r; an unclosed trailing window runs to the end if `keep_open`."""
+    n, out, cursor = len(trace), [], 0
+    while (q_idx := _first_index(scope.q, trace, cursor, n)) is not None:
+        r_idx = _first_index(scope.r, trace, q_idx + 1, n)
+        if r_idx is None:
+            return out + [(q_idx, n)] if keep_open else out
+        out.append((q_idx, r_idx))
+        cursor = r_idx
+    return out
 
 
 @dataclass(frozen=True)
 class Between(Scope):
     q: Condition
     r: Condition
+    phrase = "between {q} and {r}"
+
+    def segments(self, trace: Trace) -> list[Segment]:
+        return _windows(self, trace, keep_open=False)
 
 
 @dataclass(frozen=True)
 class AfterUntil(Scope):
     q: Condition
     r: Condition
+    phrase = "after {q} until {r}"
+
+    def segments(self, trace: Trace) -> list[Segment]:
+        return _windows(self, trace, keep_open=True)
 
 
 class Pattern:
-    """Base class for pattern variants."""
+    """Base class for pattern variants. `evaluate(trace, lo, hi)` decides
+    the variant on the segment [lo, hi), reporting a failure in segment 0."""
 
     __slots__ = ()
 
@@ -61,16 +137,37 @@ class Pattern:
 @dataclass(frozen=True)
 class Absence(Pattern):
     p: Condition
+    phrase = "it is never the case that {p} holds"
+
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        k = _first_index(self.p, trace, lo, hi)
+        if k is not None:
+            return Fails(0, k, "forbidden condition holds")
+        return Holds(vacuous=lo == hi)
 
 
 @dataclass(frozen=True)
 class Universality(Pattern):
     p: Condition
+    phrase = "it is always the case that {p} holds"
+
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        states = trace.states
+        for k in range(lo, hi):
+            if not eval_condition(self.p, states[k]):
+                return Fails(0, k, "required condition does not hold")
+        return Holds(vacuous=lo == hi)
 
 
 @dataclass(frozen=True)
 class Existence(Pattern):
     p: Condition
+    phrase = "{p} eventually holds"
+
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        if _first_index(self.p, trace, lo, hi) is not None:
+            return Holds(vacuous=False)
+        return Fails(0, max(lo, hi - 1), "no position satisfies the condition")
 
 
 @dataclass(frozen=True)
@@ -79,10 +176,23 @@ class BoundedExistence(Pattern):
 
     p: Condition
     k: int
+    phrase = "{p} holds in at most {k} episodes"
 
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError("'k' must be an integer >= 0")
+
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        states = trace.states
+        blocks, prev = 0, False
+        for k in range(lo, hi):
+            cur = eval_condition(self.p, states[k])
+            if cur and not prev:
+                blocks += 1
+                if blocks > self.k:
+                    return Fails(0, k, f"block {blocks} exceeds the bound of {self.k}")
+            prev = cur
+        return Holds(vacuous=lo == hi)
 
 
 @dataclass(frozen=True)
@@ -91,6 +201,27 @@ class Precedence(Pattern):
 
     s: Condition
     p: Condition
+    phrase = "{s} precedes {p}"
+
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        first_s = _first_index(self.s, trace, lo, hi)
+        limit = hi if first_s is None else first_s
+        early = _first_index(self.p, trace, lo, limit)
+        if early is not None:
+            return Fails(0, early, "condition occurs before its required precedent")
+        return Holds(vacuous=_first_index(self.p, trace, limit, hi) is None)
+
+
+def _first_unanswered(pattern: Response | ResponseChain, trace: Trace, lo: int, hi: int, reason: str) -> Verdict:
+    """Fails at the first trigger at or beyond the bound below which every
+    trigger is answered; `_answered_below` finds it in one backward pass."""
+    first = _first_index(pattern.p, trace, lo, hi)
+    if first is None:
+        return Holds(vacuous=True)
+    failing = _first_index(pattern.p, trace, pattern._answered_below(trace, first, hi), hi)
+    if failing is None:
+        return Holds(vacuous=False)
+    return Fails(0, failing, reason)
 
 
 @dataclass(frozen=True)
@@ -100,6 +231,14 @@ class Response(Pattern):
     p: Condition
     s: Condition
     strict: bool = False
+    phrase = "{s} responds to {p}{strict}"
+
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        return _first_unanswered(self, trace, lo, hi, "trigger is never answered within the segment")
+
+    def _answered_below(self, trace: Trace, first: int, hi: int) -> int:
+        last = _last_index(self.s, trace, first, hi)
+        return first if last is None else last + (not self.strict)
 
 
 def _seal_chain(pattern: ResponseChain | PrecedenceChain) -> None:
@@ -114,9 +253,21 @@ class ResponseChain(Pattern):
 
     p: Condition
     chain: tuple[Condition, ...]
+    phrase = "{chain} respond in order to {p}"
 
     def __post_init__(self) -> None:
         _seal_chain(self)
+
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        return _first_unanswered(self, trace, lo, hi, "trigger is not followed by the full chain")
+
+    def _answered_below(self, trace: Trace, first: int, hi: int) -> int:
+        cursor = hi
+        for link in reversed(self.chain):
+            cursor = _last_index(link, trace, first + 1, cursor)
+            if cursor is None:
+                return first
+        return cursor
 
 
 @dataclass(frozen=True)
@@ -125,14 +276,27 @@ class PrecedenceChain(Pattern):
 
     chain: tuple[Condition, ...]
     p: Condition
+    phrase = "{chain} precede in order {p}"
 
     def __post_init__(self) -> None:
         _seal_chain(self)
 
+    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
+        first_p = _first_index(self.p, trace, lo, hi)
+        if first_p is None:
+            return Holds(vacuous=True)
+        cursor = lo - 1
+        for link in self.chain:
+            nxt = _first_index(link, trace, cursor + 1, first_p)
+            if nxt is None:
+                return Fails(0, first_p, "condition is not preceded by the full chain")
+            cursor = nxt
+        return Holds(vacuous=False)
+
 
 # The catalogue: every pattern and scope variant under its JSON tag. A
-# variant's parameters are its dataclass fields; loading, dumping, mapping
-# and paraphrase are derived from them.
+# variant's parameters are its dataclass fields; loading, dumping and mapping
+# are derived from them, and the paraphrase fills its `phrase` from them.
 PATTERNS: dict[str, type[Pattern]] = {
     "absence": Absence,
     "universality": Universality,
@@ -176,55 +340,6 @@ class Requirement:
     meta: TraceLinks = TraceLinks()
 
 
-@dataclass(frozen=True)
-class Holds:
-    vacuous: bool = False
-
-
-@dataclass(frozen=True)
-class Fails:
-    segment: int
-    position: int
-    reason: str = field(default="", compare=False)
-
-
-Verdict = Holds | Fails
-
-
-# Per-position loops index `trace.states` directly, not through
-# Trace.__getitem__, and evaluate every condition through eval_condition,
-# which rejects a non-condition with TypeError; bench/tracing.py counts these
-# calls per state.
-def _first_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
-    states = trace.states
-    for k in range(start, stop):
-        if eval_condition(cond, states[k]):
-            return k
-    return None
-
-
-def _last_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
-    states = trace.states
-    for k in range(stop - 1, start - 1, -1):
-        if eval_condition(cond, states[k]):
-            return k
-    return None
-
-
-def _answered_below(pattern: Response | ResponseChain, trace: Trace, first: int, hi: int) -> int:
-    """The least position from `first` on whose trigger goes unanswered: one
-    backward pass places the answer (each chain link) as late as possible."""
-    if isinstance(pattern, Response):
-        last = _last_index(pattern.s, trace, first, hi)
-        return first if last is None else last + (not pattern.strict)
-    cursor = hi
-    for link in reversed(pattern.chain):
-        cursor = _last_index(link, trace, first + 1, cursor)
-        if cursor is None:
-            return first
-    return cursor
-
-
 def segments(scope: Scope, trace: Trace) -> list[Segment]:
     """Carve the trace into the half-open index ranges governed by the scope.
 
@@ -234,38 +349,9 @@ def segments(scope: Scope, trace: Trace) -> list[Segment]:
     end of the trace and is kept. The returned ranges are disjoint, ordered,
     and within [0, len(trace)].
     """
-    n = len(trace)
-    if isinstance(scope, Globally):
-        return [(0, n)]
-    if isinstance(scope, Before):
-        idx = _first_index(scope.r, trace, 0, n)
-        return [] if idx is None else [(0, idx)]
-    if isinstance(scope, After):
-        idx = _first_index(scope.q, trace, 0, n)
-        return [] if idx is None else [(idx, n)]
-    if isinstance(scope, (Between, AfterUntil)):
-        out: list[Segment] = []
-        cursor = 0
-        while True:
-            q_idx = _first_index(scope.q, trace, cursor, n)
-            if q_idx is None:
-                break
-            r_idx = _first_index(scope.r, trace, q_idx + 1, n)
-            if r_idx is None:
-                if isinstance(scope, AfterUntil):
-                    out.append((q_idx, n))
-                break
-            out.append((q_idx, r_idx))
-            cursor = r_idx
-        return out
-    raise TypeError(f"not a scope: {scope!r}")
-
-
-def _checked_segment(segment: Segment, trace: Trace) -> Segment:
-    lo, hi = segment
-    if not 0 <= lo <= hi <= len(trace):
-        raise ValueError(f"segment {segment!r} out of bounds for trace of length {len(trace)}")
-    return lo, hi
+    if not isinstance(scope, Scope):
+        raise TypeError(f"not a scope: {scope!r}")
+    return scope.segments(trace)
 
 
 def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdict:
@@ -282,72 +368,12 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
     chain link) as late as possible; that bounds the answerable triggers, so
     the verdict is the first trigger at or beyond the bound, if any.
     """
-    lo, hi = _checked_segment(segment, trace)
-    empty = lo == hi
-
-    if isinstance(pattern, Absence):
-        k = _first_index(pattern.p, trace, lo, hi)
-        if k is not None:
-            return Fails(0, k, "forbidden condition holds")
-        return Holds(vacuous=empty)
-
-    if isinstance(pattern, Universality):
-        states = trace.states
-        for k in range(lo, hi):
-            if not eval_condition(pattern.p, states[k]):
-                return Fails(0, k, "required condition does not hold")
-        return Holds(vacuous=empty)
-
-    if isinstance(pattern, Existence):
-        if _first_index(pattern.p, trace, lo, hi) is not None:
-            return Holds(vacuous=False)
-        return Fails(0, max(lo, hi - 1), "no position satisfies the condition")
-
-    if isinstance(pattern, BoundedExistence):
-        states = trace.states
-        blocks = 0
-        prev = False
-        for k in range(lo, hi):
-            cur = eval_condition(pattern.p, states[k])
-            if cur and not prev:
-                blocks += 1
-                if blocks > pattern.k:
-                    return Fails(0, k, f"block {blocks} exceeds the bound of {pattern.k}")
-            prev = cur
-        return Holds(vacuous=empty)
-
-    if isinstance(pattern, Precedence):
-        first_s = _first_index(pattern.s, trace, lo, hi)
-        limit = hi if first_s is None else first_s
-        early = _first_index(pattern.p, trace, lo, limit)
-        if early is not None:
-            return Fails(0, early, "condition occurs before its required precedent")
-        return Holds(vacuous=_first_index(pattern.p, trace, limit, hi) is None)
-
-    if isinstance(pattern, (Response, ResponseChain)):
-        first = _first_index(pattern.p, trace, lo, hi)
-        if first is None:
-            return Holds(vacuous=True)
-        failing = _first_index(pattern.p, trace, _answered_below(pattern, trace, first, hi), hi)
-        if failing is None:
-            return Holds(vacuous=False)
-        if isinstance(pattern, Response):
-            return Fails(0, failing, "trigger is never answered within the segment")
-        return Fails(0, failing, "trigger is not followed by the full chain")
-
-    if isinstance(pattern, PrecedenceChain):
-        first_p = _first_index(pattern.p, trace, lo, hi)
-        if first_p is None:
-            return Holds(vacuous=True)
-        cursor = lo - 1
-        for link in pattern.chain:
-            nxt = _first_index(link, trace, cursor + 1, first_p)
-            if nxt is None:
-                return Fails(0, first_p, "condition is not preceded by the full chain")
-            cursor = nxt
-        return Holds(vacuous=False)
-
-    raise TypeError(f"not a pattern: {pattern!r}")
+    lo, hi = segment
+    if not 0 <= lo <= hi <= len(trace):
+        raise ValueError(f"segment {segment!r} out of bounds for trace of length {len(trace)}")
+    if not isinstance(pattern, Pattern):
+        raise TypeError(f"not a pattern: {pattern!r}")
+    return pattern.evaluate(trace, lo, hi)
 
 
 def map_conditions(req: Requirement, fn) -> Requirement:

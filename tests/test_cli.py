@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,16 @@ def test_check_short_trace_fails_existence(capsys, tmp_path, clock_suite):
     code, out = run(capsys, "check", "--suite", clock_suite, "--trace", trace)
     assert "STATEMENT_0: FAILS" in out
     assert code == 1
+
+
+def test_module_entry_point_runs_the_command(tmp_path, clock_suite):
+    """`python -m reqpat.cli` exits with the verdict, as the `reqpat` script does."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "reqpat.cli", "check", "--suite", clock_suite, "--trace", trace_file(tmp_path, 99)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert "STATEMENT_0: FAILS" in done.stdout
+    assert done.returncode == 1
 
 
 def test_check_missing_file_is_usage_error(capsys, clock_suite):

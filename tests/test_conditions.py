@@ -87,6 +87,12 @@ def test_parse_condition_grammar():
     assert parse_condition("!(p || q)") == Not(Or(Ref("p"), Ref("q")))
 
 
+def test_each_distinct_atom_is_one_node_per_parse():
+    cond = parse_condition("p || !p && q")
+    assert cond.left is cond.right.left.inner
+    assert cond.right.right == Ref("q")
+
+
 @pytest.mark.parametrize("text", ["", "p &&", "(p", "p q", "9bad", "p ->"])
 def test_parse_condition_errors_carry_position(text):
     with pytest.raises(ConditionSyntaxError) as exc_info:

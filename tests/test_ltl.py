@@ -88,6 +88,12 @@ def test_formula_parentheses_nest_at_most_max_nesting_deep():
     assert exc_info.value.position == MAX_NESTING
 
 
+def test_each_distinct_atom_is_one_node_per_parse():
+    formula = parse("a && a")
+    assert formula.left is formula.right
+    assert parse("a") is not parse("a")
+
+
 def test_operator_chains_of_1500_terms_parse_without_recursion():
     formula = parse(" && ".join(["a"] * 1500))
     for _ in range(1499):

@@ -206,6 +206,27 @@ def test_catalogue_tags_are_the_snake_case_class_names():
         assert re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower() == tag
 
 
+@pytest.mark.parametrize("scope", ["globally", Ref("p"), Absence(P)])
+def test_segments_rejects_what_is_not_a_scope(scope):
+    with pytest.raises(TypeError) as exc_info:
+        segments(scope, Trace.of({"p"}))
+    assert str(exc_info.value) == f"not a scope: {scope!r}"
+
+
+@pytest.mark.parametrize("pattern", ["globally", Ref("p"), Globally()])
+def test_evaluate_pattern_rejects_what_is_not_a_pattern(pattern):
+    with pytest.raises(TypeError) as exc_info:
+        evaluate_pattern(pattern, Trace.of({"p"}), (0, 1))
+    assert str(exc_info.value) == f"not a pattern: {pattern!r}"
+
+
+def test_check_rejects_a_pattern_and_a_scope_in_each_other_s_place():
+    with pytest.raises(TypeError, match="not a scope"):
+        check(Requirement("X", Globally(), Absence(P)), Trace.of({"p"}))
+    with pytest.raises(TypeError, match="not a pattern"):
+        check(Requirement("X", Globally(), Globally()), Trace.of({"p"}))
+
+
 def test_chains_are_kept_as_tuples():
     assert ResponseChain(P, [A, B]).chain == (A, B)
     assert PrecedenceChain(iter([A]), P) == PrecedenceChain((A,), P)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -23,8 +24,9 @@ from reqpat.patterns import (
     ResponseChain,
     TraceLinks,
     Universality,
+    parameters,
 )
-from reqpat.picnic import PHRASES, PicnicError, render_requirement, render_suite_report, traceability_report
+from reqpat.picnic import PicnicError, render_requirement, render_suite_report, traceability_report
 from reqpat.suite import Suite
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
@@ -64,8 +66,11 @@ def test_phrase_table():
         assert render_requirement(Requirement("X", pattern, scope), NAMES).phrase == phrase
 
 
-def test_every_catalogue_variant_has_one_phrase():
-    assert set(PHRASES) == set(PATTERNS) | set(SCOPES)
+def test_every_catalogue_class_carries_its_meaning_and_its_phrase():
+    for catalogue, meaning in ((PATTERNS, "evaluate"), (SCOPES, "segments")):
+        for cls in catalogue.values():
+            assert {meaning, "phrase"} <= vars(cls).keys(), cls
+            assert "phrase" not in parameters(cls)
 
 
 def test_missing_display_name_errors_with_requirement():
@@ -104,6 +109,18 @@ def test_traceability_report_without_meta():
     )
     row = traceability_report(suite).splitlines()[2]
     assert row.count("—") == 2
+
+
+def test_traceability_report_escapes_pipes_in_every_cell():
+    ab = Ref("ab")
+    links = TraceLinks(source_url="https://example.org/a|b", repo_url="https://example.org/c|d")
+    suite = Suite(conditions={"a|b": ab}, requirements=[Requirement("R|1", Existence(ab), Globally(), links)])
+    row = traceability_report(suite).splitlines()[2]
+    assert row == (
+        r"| R\|1 | a\|b eventually holds globally"
+        r" | [Source](https://example.org/a\|b) | [Repo](https://example.org/c\|d) |"
+    )
+    assert len(re.findall(r"(?<!\\)\|", row)) == 5  # four cells
 
 
 def test_paraphrase_injective_on_core_instantiations():
