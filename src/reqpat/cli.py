@@ -18,13 +18,13 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .clock import MIDNIGHT, Clock, builtin_suite
+from .clock import Clock, builtin_suite
 from .conditions import Ref, is_valid_atom
-from .harness import PreconditionViolation, Reached, SutContract, drive_verify_response, establish
+from .harness import DriveOutcome, PreconditionViolation, Reached, SutContract, drive_verify_response, establish
 from .ltl import UnsupportedPattern, emit_ltl, print_formula
-from .patterns import Existence, Fails, Globally, Holds, Requirement, Response, check, map_conditions
+from .patterns import Existence, Fails, Globally, Requirement, Response, Verdict, check, map_conditions
 from .picnic import PicnicError, render_suite_report, traceability_report
-from .suite import Suite, SuiteError, load_suite, load_trace
+from .suite import SuiteError, load_suite, load_trace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -35,8 +35,12 @@ EXIT_INTERNAL = 4
 SUTS: dict[str, Callable[[], SutContract]] = {"clock": Clock}
 
 
+def _one_line(text: str) -> str:
+    return " ".join(text.splitlines())
+
+
 def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    print(f"error: {_one_line(message)}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -45,43 +49,35 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SuiteError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise SuiteError(str(exc)) from None
 
 
-def _load_suite_file(path: str) -> Suite:
-    return load_suite(_read(path))
+def _verdict_row(name: str, verdict: Verdict) -> dict:
+    """One requirement's verdict, the facts both the text and --json print."""
+    if isinstance(verdict, Fails):
+        return {"name": name, "verdict": "fails", "vacuous": False,
+                "segment": verdict.segment, "position": verdict.position}
+    return {"name": name, "verdict": "holds", "vacuous": verdict.vacuous}
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        suite = _load_suite_file(args.suite)
-        trace = load_trace(_read(args.trace))
-    except (OSError, SuiteError) as exc:
-        return _fail(str(exc))
-
-    results = [(req.name, check(req, trace)) for req in suite.requirements]
+    suite = load_suite(_read(args.suite))
+    trace = load_trace(_read(args.trace))
+    rows = [_verdict_row(req.name, check(req, trace)) for req in suite.requirements]
 
     if args.json:
-        payload = []
-        for name, verdict in results:
-            if isinstance(verdict, Holds):
-                payload.append({"name": name, "verdict": "holds", "vacuous": verdict.vacuous})
-            else:
-                payload.append(
-                    {"name": name, "verdict": "fails", "vacuous": False, "position": verdict.position}
-                )
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(rows, indent=2))
     else:
-        for name, verdict in results:
-            if isinstance(verdict, Fails):
-                print(f"{name}: FAILS at segment {verdict.segment} position {verdict.position}")
-            elif verdict.vacuous:
-                print(f"{name}: HOLDS (vacuous)")
+        for row in rows:
+            if row["verdict"] == "fails":
+                print(f"{row['name']}: FAILS at segment {row['segment']} position {row['position']}")
             else:
-                print(f"{name}: HOLDS")
+                print(f"{row['name']}: HOLDS" + (" (vacuous)" if row["vacuous"] else ""))
 
-    if any(isinstance(v, Fails) for _, v in results):
+    if any(row["verdict"] == "fails" for row in rows):
         return EXIT_VIOLATION
-    if any(isinstance(v, Holds) and v.vacuous for _, v in results):
+    if any(row["vacuous"] for row in rows):
         return EXIT_VACUOUS
     return EXIT_OK
 
@@ -90,11 +86,15 @@ def _drivable(req: Requirement) -> bool:
     return isinstance(req.scope, Globally) and isinstance(req.pattern, (Existence, Response))
 
 
+def _drive(sut: SutContract, req: Requirement, bound: int) -> DriveOutcome:
+    """Establish a drivable existence requirement, or verify a response one."""
+    if isinstance(req.pattern, Existence):
+        return establish(sut, req.pattern.p, bound)
+    return drive_verify_response(sut, req.pattern.p, req.pattern.s, bound)
+
+
 def _cmd_drive(args: argparse.Namespace) -> int:
-    try:
-        suite = _load_suite_file(args.suite)
-    except (OSError, SuiteError) as exc:
-        return _fail(str(exc))
+    suite = load_suite(_read(args.suite))
     factory = SUTS.get(args.sut)
     if factory is None:
         return _fail(f"unknown SUT {args.sut!r}; registered: {', '.join(sorted(SUTS))}")
@@ -106,10 +106,7 @@ def _cmd_drive(args: argparse.Namespace) -> int:
         if not _drivable(req):
             print(f"{req.name}: skipped (only global existence and response drive)")
             continue
-        if isinstance(req.pattern, Existence):
-            outcome = establish(sut, req.pattern.p, args.bound)
-        else:
-            outcome = drive_verify_response(sut, req.pattern.p, req.pattern.s, args.bound)
+        outcome = _drive(sut, req, args.bound)
         print(f"{req.name}: {outcome}")
         if not isinstance(outcome, Reached):
             failures += 1
@@ -117,20 +114,12 @@ def _cmd_drive(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    try:
-        suite = _load_suite_file(args.suite)
-        report = render_suite_report(suite)
-    except (OSError, SuiteError, PicnicError) as exc:
-        return _fail(str(exc))
-    print(report, end="")
+    print(render_suite_report(load_suite(_read(args.suite))), end="")
     return EXIT_OK
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
-    try:
-        suite = _load_suite_file(args.suite)
-    except (OSError, SuiteError) as exc:
-        return _fail(str(exc))
+    suite = load_suite(_read(args.suite))
     # Print formulas over the suite's condition names (the analyst's
     # vocabulary) rather than over the raw observation atoms.
     names = suite.names_by_condition()
@@ -149,43 +138,31 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        suite = _load_suite_file(args.suite)
-        table = traceability_report(suite)
-    except (OSError, SuiteError, PicnicError) as exc:
-        return _fail(str(exc))
-    print(table, end="")
+    print(traceability_report(load_suite(_read(args.suite))), end="")
     return EXIT_OK
+
+
+# The scripted clock scenario: (step label, requirement of the built-in suite).
+DEMO_STEPS = (
+    ("verify STATEMENT_1_1 on the fresh clock", "STATEMENT_1_1"),
+    ("establish STATEMENT_0 (midnight is reachable)", "STATEMENT_0"),
+    ("verify STATEMENT_1_1 (midnight responds to midnight)", "STATEMENT_1_1"),
+)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.sut != "clock":
         return _fail(f"unknown demo {args.sut!r}; available: clock")
-    bound = args.bound
-    suite = builtin_suite()
-    by_name = {req.name: req for req in suite.requirements}
+    by_name = {req.name: req for req in builtin_suite().requirements}
     clock = Clock()
 
     print(f"demo: clock (fresh instance, display {clock.display()})")
-    print("step 1: verify STATEMENT_1_1 on the fresh clock")
-    outcome = drive_verify_response(clock, MIDNIGHT, MIDNIGHT, bound)
-    print(f"  outcome: {outcome}")
-    if isinstance(outcome, PreconditionViolation):
-        print("  the response trigger does not hold yet; it must be established first")
-
-    print("step 2: establish STATEMENT_0 (midnight is reachable)")
-    statement_0 = by_name["STATEMENT_0"]
-    assert isinstance(statement_0.pattern, Existence)
-    outcome = establish(clock, statement_0.pattern.p, bound)
-    print(f"  outcome: {outcome}")
-
-    print("step 3: verify STATEMENT_1_1 (midnight responds to midnight)")
-    statement_1_1 = by_name["STATEMENT_1_1"]
-    assert isinstance(statement_1_1.pattern, Response)
-    outcome = drive_verify_response(
-        clock, statement_1_1.pattern.p, statement_1_1.pattern.s, bound
-    )
-    print(f"  outcome: {outcome}")
+    for step, (label, name) in enumerate(DEMO_STEPS, start=1):
+        print(f"step {step}: {label}")
+        outcome = _drive(clock, by_name[name], args.bound)
+        print(f"  outcome: {outcome}")
+        if isinstance(outcome, PreconditionViolation):
+            print("  the response trigger does not hold yet; it must be established first")
     return EXIT_OK
 
 
@@ -242,10 +219,11 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("--bound must be >= 0")
     try:
         return args.func(args)
+    except (SuiteError, PicnicError) as exc:
+        return _fail(str(exc))
     except Exception as exc:
         # A defect, not a verdict: exit 1 stays reserved for violations.
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {_one_line(str(exc))}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -18,7 +18,8 @@ Suite files are JSON with two top-level keys:
   field is rejected.
 
 A name may be defined only once: a duplicate condition or requirement name is
-the file-level contradiction signal and is always rejected.
+the file-level contradiction signal and is always rejected. No condition
+name, requirement name or ``meta`` string may contain a line break.
 
 Trace files are JSON Lines: one array of atom names per line, one line per
 state, atoms sorted on output. Atoms absent from a line are false. Identical
@@ -122,6 +123,12 @@ def _check_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
+def _breaks_line(text: str) -> bool:
+    """True when `str.splitlines` would split the text. Names and links are
+    printed inside one line of output, so none may hold a line break."""
+    return "".join(text.splitlines()) != text
+
+
 def load_suite(text: str) -> Suite:
     """Parse and validate a suite file; every defect raises a SuiteError."""
     try:
@@ -138,6 +145,8 @@ def load_suite(text: str) -> Suite:
         raise MalformedSuite("'conditions' must be an object")
     conditions: dict[str, Condition] = {}
     for name, body in raw_conditions.items():
+        if _breaks_line(name):
+            raise MalformedCondition(name, "name must not contain a line break")
         if not isinstance(body, str):
             raise MalformedCondition(name, "body must be a string")
         try:
@@ -157,6 +166,8 @@ def load_suite(text: str) -> Suite:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise MalformedSuite(f"{location}: missing or empty 'name'")
+        if _breaks_line(name):
+            raise MalformedSuite(f"{location}.name: must not contain a line break")
         pattern = _load_variant(entry.get("pattern"), PATTERNS, "pattern", conditions, f"{location}.pattern")
         scope = _load_variant(entry.get("scope"), SCOPES, "scope", conditions, f"{location}.scope")
         meta = entry.get("meta")
@@ -230,8 +241,11 @@ def _load_value(f: dataclasses.Field, value: Any, conditions: Mapping[str, Condi
         raise error(location, f"{f.name!r} must be an integer >= 0")
     if f.type == "bool" and type(value) is not bool:
         raise error(location, f"{f.name!r} must be a boolean")
-    if f.type == "str | None" and value is not None and type(value) is not str:
-        raise error(f"{location}.{f.name}", "must be a string")
+    if f.type == "str | None" and value is not None:
+        if type(value) is not str:
+            raise error(f"{location}.{f.name}", "must be a string")
+        if _breaks_line(value):
+            raise error(f"{location}.{f.name}", "must not contain a line break")
     return value
 
 

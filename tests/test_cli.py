@@ -91,13 +91,13 @@ def test_check_json_agrees_with_human_output(capsys, tmp_path, clock_suite):
     payload = json.loads(machine)
     assert payload == [
         {"name": "STATEMENT_0", "verdict": "holds", "vacuous": False},
-        {"name": "STATEMENT_1_1", "verdict": "fails", "vacuous": False, "position": 2880},
+        {"name": "STATEMENT_1_1", "verdict": "fails", "vacuous": False, "segment": 0, "position": 2880},
     ]
     for entry in payload:
         if entry["verdict"] == "holds":
-            assert f"{entry['name']}: HOLDS" in human
+            assert f"{entry['name']}: HOLDS\n" in human
         else:
-            assert f"{entry['name']}: FAILS" in human
+            assert f"{entry['name']}: FAILS at segment {entry['segment']} position {entry['position']}\n" in human
 
 
 def test_check_non_utf8_input_is_usage_error(capsys, tmp_path, clock_suite):
@@ -287,12 +287,38 @@ def test_report(capsys, clock_suite):
     assert code == 0
 
 
-def test_load_error_exits_2(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"conditions": {"m": "9bad"}, "requirements": []}')
-    for command in (["render"], ["emit"], ["report"]):
-        code, _ = run(capsys, *command, "--suite", str(bad))
-        assert code == 2
+def _exits_2_with_one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, ""), argv
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (argv, captured.err)
+
+
+def test_load_error_exits_2(capsys, tmp_path, clock_suite):
+    """Every command reports every unreadable or malformed input file the
+    same way, even where the path holds a line break."""
+    where = tmp_path / "line\nbreak"
+    where.mkdir()
+    (where / "latin1.json").write_bytes(b"\xff\n")
+    (where / "bad.json").write_text('{"conditions": {"m": "9bad"}, "requirements": []}')
+    (where / "bad.jsonl").write_text('["at_2400"]\nnot json\n')
+    missing, directory, latin1 = str(where / "missing.json"), str(where), str(where / "latin1.json")
+    good_trace = trace_file(tmp_path, 3)
+    for suite in (missing, directory, latin1, str(where / "bad.json")):
+        for command in (["check", "--trace", good_trace], ["drive", "--sut", "clock", "--bound", "5"],
+                        ["render"], ["emit"], ["report"]):
+            _exits_2_with_one_error_line(capsys, [command[0], "--suite", suite, *command[1:]])
+    for trace in (missing, directory, latin1, str(where / "bad.jsonl")):
+        _exits_2_with_one_error_line(capsys, ["check", "--suite", clock_suite, "--trace", trace])
+
+
+def test_requirement_name_with_a_line_break_exits_2(capsys, tmp_path):
+    doc = json.loads(builtin_suite_text())
+    doc["requirements"][1]["name"] = "R\n| evil | row"
+    suite = tmp_path / "broken_lines.json"
+    suite.write_text(json.dumps(doc))
+    for command in (["check", "--trace", trace_file(tmp_path, 3)], ["render"], ["emit"], ["report"]):
+        _exits_2_with_one_error_line(capsys, [command[0], "--suite", str(suite), *command[1:]])
 
 
 def test_suite_json_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):

@@ -158,6 +158,28 @@ def test_empty_source_quote_rejected():
         load_suite(json.dumps(doc))
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+def test_line_breaks_in_names_and_meta_rejected(brk):
+    """Names and links are printed inside one output line, so a string that
+    `str.splitlines` would split is refused where it is loaded."""
+    existence = {"type": "existence", "p": "midnight"}
+    with pytest.raises(MalformedCondition) as exc_info:
+        load_suite(suite_text(requirements=[], conditions={f"mid{brk}night": "at_2400"}))
+    assert str(exc_info.value) == f"condition {f'mid{brk}night'!r}: name must not contain a line break"
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(suite_text(requirements=[{"name": f"R{brk}| evil | row", "pattern": existence,
+                                             "scope": {"type": "globally"}}]))
+    assert str(exc_info.value) == "requirements[0].name: must not contain a line break"
+    for field in ("source_url", "source_quote", "repo_url"):
+        with pytest.raises(MalformedSuite) as exc_info:
+            load_suite(_requirement_text(existence, meta={field: f"line one{brk}line two"}))
+        assert str(exc_info.value) == f"requirements[0].meta.{field}: must not contain a line break"
+    # A trailing break splits nothing off, yet still ends the line early.
+    with pytest.raises(MalformedSuite):
+        load_suite(_requirement_text(existence, meta={"source_quote": f"quote{brk}"}))
+    assert load_suite(_requirement_text(existence, meta={"source_quote": "one\tline"})).requirements
+
+
 def test_loader_totality_on_garbage():
     for text in ["", "[1,2]", "{", '{"conditions": 3}', '{"requirements": {}}',
                  '{"requirements": [42]}', '{"requirements": [{"name": ""}]}']:
