@@ -97,12 +97,23 @@ class State:
 
 @dataclass(frozen=True, init=False)
 class Trace:
-    """A finite, possibly empty sequence of states, indexed from 0."""
+    """A finite, possibly empty sequence of states, indexed from 0.
+
+    `_carved` is `patterns.check`'s memo of the segments each scope carves
+    from this trace. It is no field, so equality, hash and repr ignore it,
+    and a copy or a pickle starts with an empty one.
+    """
 
     states: tuple[State, ...]
 
     def __init__(self, states: Iterable[State] = ()):
-        object.__setattr__(self, "states", tuple(states))
+        # Frozen, so the instance dict is filled directly.
+        attrs = self.__dict__
+        attrs["states"] = tuple(states)
+        attrs["_carved"] = {}
+
+    def __reduce__(self):
+        return type(self), (self.states,)
 
     @classmethod
     def of(cls, *atom_sets: Iterable[str]) -> "Trace":

@@ -37,6 +37,10 @@ class Fails:
 
 Verdict = Holds | Fails
 
+# Holds is immutable, so every holding verdict is one of these two.
+_HOLDS = Holds(vacuous=False)
+_VACUOUS = Holds(vacuous=True)
+
 
 # Per-position loops index `trace.states` directly, not through
 # Trace.__getitem__, and evaluate every condition through eval_condition,
@@ -143,7 +147,7 @@ class Absence(Pattern):
         k = _first_index(self.p, trace, lo, hi)
         if k is not None:
             return Fails(0, k, "forbidden condition holds")
-        return Holds(vacuous=lo == hi)
+        return _VACUOUS if lo == hi else _HOLDS
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ class Universality(Pattern):
         for k in range(lo, hi):
             if not eval_condition(self.p, states[k]):
                 return Fails(0, k, "required condition does not hold")
-        return Holds(vacuous=lo == hi)
+        return _VACUOUS if lo == hi else _HOLDS
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ class Existence(Pattern):
 
     def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
         if _first_index(self.p, trace, lo, hi) is not None:
-            return Holds(vacuous=False)
+            return _HOLDS
         return Fails(0, max(lo, hi - 1), "no position satisfies the condition")
 
 
@@ -192,7 +196,7 @@ class BoundedExistence(Pattern):
                 if blocks > self.k:
                     return Fails(0, k, f"block {blocks} exceeds the bound of {self.k}")
             prev = cur
-        return Holds(vacuous=lo == hi)
+        return _VACUOUS if lo == hi else _HOLDS
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ class Precedence(Pattern):
         early = _first_index(self.p, trace, lo, limit)
         if early is not None:
             return Fails(0, early, "condition occurs before its required precedent")
-        return Holds(vacuous=_first_index(self.p, trace, limit, hi) is None)
+        return _VACUOUS if _first_index(self.p, trace, limit, hi) is None else _HOLDS
 
 
 def _first_unanswered(pattern: Response | ResponseChain, trace: Trace, lo: int, hi: int, reason: str) -> Verdict:
@@ -217,10 +221,10 @@ def _first_unanswered(pattern: Response | ResponseChain, trace: Trace, lo: int, 
     trigger is answered; `_answered_below` finds it in one backward pass."""
     first = _first_index(pattern.p, trace, lo, hi)
     if first is None:
-        return Holds(vacuous=True)
+        return _VACUOUS
     failing = _first_index(pattern.p, trace, pattern._answered_below(trace, first, hi), hi)
     if failing is None:
-        return Holds(vacuous=False)
+        return _HOLDS
     return Fails(0, failing, reason)
 
 
@@ -284,14 +288,14 @@ class PrecedenceChain(Pattern):
     def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
         first_p = _first_index(self.p, trace, lo, hi)
         if first_p is None:
-            return Holds(vacuous=True)
+            return _VACUOUS
         cursor = lo - 1
         for link in self.chain:
             nxt = _first_index(link, trace, cursor + 1, first_p)
             if nxt is None:
                 return Fails(0, first_p, "condition is not preceded by the full chain")
             cursor = nxt
-        return Holds(vacuous=False)
+        return _HOLDS
 
 
 # The catalogue: every pattern and scope variant under its JSON tag. A
@@ -414,13 +418,29 @@ def check(req: Requirement, trace: Trace) -> Verdict:
     Returns the first failing segment's verdict, rewritten with its segment
     index; otherwise Holds, vacuously iff there were no segments or every
     segment held vacuously.
+
+    The pattern and scope are validated once per call. Each scope is carved
+    once per trace: requirements checked on the same Trace object share the
+    segments of an equal scope over the same condition objects, and
+    `load_suite` resolves each condition name to one shared object. Carved
+    segments are in bounds by construction, so each is evaluated without
+    `evaluate_pattern`'s per-segment checks.
     """
-    segs = segments(req.scope, trace)
-    all_vacuous = True
-    for idx, seg in enumerate(segs):
-        verdict = evaluate_pattern(req.pattern, trace, seg)
+    pattern, scope = req.pattern, req.scope
+    if not isinstance(scope, Scope):
+        raise TypeError(f"not a scope: {scope!r}")
+    if not isinstance(pattern, Pattern):
+        raise TypeError(f"not a pattern: {pattern!r}")
+    # Keyed by the identities of the scope's fields, so no condition tree is
+    # hashed; the entry keeps the scope, and so every id in its key, alive.
+    key = (type(scope), *map(id, vars(scope).values()))
+    carved = trace._carved.get(key)
+    if carved is None:
+        carved = trace._carved[key] = (scope, scope.segments(trace))
+    vacuous = True
+    for idx, (lo, hi) in enumerate(carved[1]):
+        verdict = pattern.evaluate(trace, lo, hi)
         if isinstance(verdict, Fails):
-            return dataclasses.replace(verdict, segment=idx)
-        assert isinstance(verdict, Holds)
-        all_vacuous = all_vacuous and verdict.vacuous
-    return Holds(vacuous=(not segs) or all_vacuous)
+            return Fails(idx, verdict.position, verdict.reason)
+        vacuous = vacuous and verdict.vacuous
+    return _VACUOUS if vacuous else _HOLDS

@@ -1,10 +1,14 @@
+import copy
 import dataclasses
+import itertools
+import json
+import pickle
 import random
 import re
 
 import pytest
 
-from reqpat.conditions import Not, Ref, Trace, condition_atoms
+from reqpat.conditions import And, Not, Ref, Trace, condition_atoms
 from reqpat.patterns import (
     PATTERNS,
     SCOPES,
@@ -29,6 +33,7 @@ from reqpat.patterns import (
     map_conditions,
     segments,
 )
+from reqpat.suite import load_suite
 
 from helpers import (
     all_traces,
@@ -266,6 +271,113 @@ def test_check_is_deterministic():
     for _ in range(50):
         trace = random_trace(rng)
         assert check(req, trace) == check(req, trace)
+
+
+# --- one carving per scope and trace ----------------------------------------
+
+PATTERN_ENTRIES = [
+    {"type": "absence", "p": "p"},
+    {"type": "universality", "p": "p"},
+    {"type": "existence", "p": "p"},
+    {"type": "bounded_existence", "p": "p", "k": 1},
+    {"type": "precedence", "s": "s", "p": "p"},
+    {"type": "response", "p": "p", "s": "s"},
+    {"type": "response_chain", "p": "p", "chain": ["s", "p"]},
+    {"type": "precedence_chain", "chain": ["s"], "p": "p"},
+]
+SCOPE_ENTRIES = [
+    {"type": "globally"},
+    {"type": "before", "r": "r"},
+    {"type": "after", "q": "q"},
+    {"type": "between", "q": "q", "r": "r"},
+    {"type": "after_until", "q": "q", "r": "r"},
+]
+
+
+def test_check_carves_each_scope_once_per_trace(monkeypatch):
+    """Every requirement of a loaded 8 x 5 suite has a scope object of its
+    own, but the loader shares the condition objects, so one trace carves
+    each distinct scope once. An equal trace that is another object, a copy
+    or a pickled one included, carves again."""
+    suite = load_suite(json.dumps({
+        "conditions": {"p": "p", "s": "s || t", "q": "q && !p", "r": "r"},
+        "requirements": [
+            {"name": f"R{i}", "pattern": pattern, "scope": scope}
+            for i, (pattern, scope) in enumerate(itertools.product(PATTERN_ENTRIES, SCOPE_ENTRIES))
+        ],
+    }))
+    assert len(suite.requirements) == 40
+    carved = []
+
+    def counting(method):
+        def counted(self, trace):
+            carved.append(type(self))
+            return method(self, trace)
+
+        return counted
+
+    for cls in SCOPES.values():
+        monkeypatch.setattr(cls, "segments", counting(cls.segments))
+    trace = Trace.of({"q"}, {"p"}, {"s"}, {"r"}, {"q", "t"}, {"p"}, {"r"}, {"q"}, {"p"}, {"s"})
+    verdicts = [check(req, trace) for req in suite.requirements]
+    assert sorted(carved, key=list(SCOPES.values()).index) == list(SCOPES.values())
+    assert [check(req, trace) for req in suite.requirements] == verdicts
+    assert len(carved) == 5
+    for other in (Trace(trace.states), copy.copy(trace), pickle.loads(pickle.dumps(trace))):
+        assert [check(req, other) for req in suite.requirements] == verdicts
+    assert len(carved) == 20
+
+
+def test_checking_leaves_the_trace_value_unchanged():
+    checked, unchecked = Trace.of({"q"}, {"p"}, {"r"}), Trace.of({"q"}, {"p"}, {"r"})
+    for scope in (Globally(), Before(R), After(Q), Between(Q, R), AfterUntil(Q, R)):
+        check(Requirement("x", Absence(P), scope), checked)
+    assert checked == unchecked
+    assert hash(checked) == hash(unchecked)
+    assert repr(checked) == repr(unchecked)
+    assert pickle.loads(pickle.dumps(checked)) == unchecked
+
+
+def test_shared_carving_gives_the_verdicts_of_fresh_traces():
+    """Random suites whose requirements share a few scopes, checked in
+    shuffled order on one trace, give every verdict (segment, position,
+    reason, vacuity) that a check on a fresh equal trace gives."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        scopes = [random_scope(rng) for _ in range(rng.randint(1, 3))]
+        conditions = [random_condition(rng, depth=1) for _ in range(3)]
+        reqs = []
+        for i in range(rng.randint(2, 10)):
+            p, s = rng.choice(conditions), rng.choice(conditions)
+            pattern = rng.choice([
+                Absence(p), Universality(p), Existence(p), BoundedExistence(p, rng.randint(0, 2)),
+                Precedence(s, p), Response(p, s, strict=rng.random() < 0.5),
+                ResponseChain(p, [s, p]), PrecedenceChain([s], p),
+            ])
+            scope = rng.choice(scopes)
+            # An equal scope built anew over the same conditions shares too.
+            reqs.append(Requirement(f"R{i}", pattern, type(scope)(**vars(scope))))
+        rng.shuffle(reqs)
+        trace = random_trace(rng, max_len=12)
+        for req in reqs:
+            got, want = check(req, trace), check(req, Trace(trace.states))
+            assert _same_verdict(got, want), (req, trace)
+
+
+def test_check_carves_a_scope_too_deep_to_hash():
+    """The carving memo never hashes a condition: a Python-built condition
+    600 `And`s deep, past where dataclass `hash` overflows, still checks."""
+    q = Q
+    for _ in range(600):
+        q = And(Q, q)
+    req = Requirement("deep", Absence(P), Between(q, R))
+    assert check(req, Trace.of({"q"}, {"p"}, {"r"}, {"q", "r"})) == Fails(segment=0, position=1)
+
+
+def test_check_names_a_scope_it_cannot_carve():
+    with pytest.raises(TypeError) as exc_info:
+        check(Requirement("X", Absence(P), []), Trace.of({"p"}))
+    assert str(exc_info.value) == "not a scope: []"
 
 
 def test_map_conditions_renames_every_parameter():
