@@ -9,11 +9,16 @@ succeeds there.
 
 Evaluation is bit-parallel. A formula is compiled once, on its first
 evaluation, into a flat program with one instruction per structurally
-distinct subformula, and the program is kept on the formula object. Running
-it computes each subformula's truth at every position of the trace as one
-integer mask: next is a shift, eventually and always take the lowest set
-bit, and until is one addition. Neither compiling nor running recurses, so
-a formula of any depth evaluates; printing does not recurse either.
+distinct subformula, and the program is generated into one straight-line
+Python function: a single pass over the trace builds every atom's mask, then
+one assignment per instruction computes that subformula's truth at every
+position as one integer mask. Next is a shift, eventually and always take
+the lowest set bit, and until is one addition. The function is kept on the
+formula object and shared through a small bounded cache keyed by the
+program, so formulas with equal programs, such as two emissions of one
+requirement, generate it once. No expression nests per formula level and
+neither compiling nor generating recurses, so a formula of any depth
+evaluates; printing does not recurse either.
 
 Emission reads one table of requirement templates: for each (pattern tag,
 scope tag) cell of the `patterns` catalogue, formula text over placeholders
@@ -40,6 +45,7 @@ the one engine of `conditions.Grammar`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
@@ -64,9 +70,22 @@ class Formula:
         return _compile(self)
 
     @cached_property
+    def _run(self) -> Callable[[tuple, int], int]:
+        """The program's generated function, kept like `_program` and shared
+        with every formula whose program is equal."""
+        return _runner(self._program)
+
+    @cached_property
     def _rendered(self) -> tuple[str, int]:
         """The printed text and its parenthesis depth, kept like `_program`."""
         return FORMULAS.render(self)
+
+    def __getstate__(self) -> dict:
+        """A generated function does not pickle, so copies and pickles leave
+        it out and generate or share it again when evaluated."""
+        state = self.__dict__.copy()
+        state.pop("_run", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -221,6 +240,73 @@ def _compile(formula: Formula) -> tuple[tuple, ...]:
     return tuple(program)
 
 
+# Each instruction's mask as one expression over the masks m{a} and m{b} of
+# its operands' slots and the mask `full` of every position, by node class.
+# Until's backward induction u[i] = b[i] | (a[i] & u[i+1]) is a carry chain
+# from bit 0 upwards: b generates, a propagates, and the carries into each
+# bit are (t + b) ^ t ^ b. W carries one in from beyond the end of the trace.
+# Eventually holds at every position at or before the last one where its
+# operand holds; always on the run of set bits ending at the last position.
+_EXPRESSIONS = {
+    TrueBool: "full",
+    FalseBool: "0",
+    Not: "full ^ m{a}",
+    And: "m{a} & m{b}",
+    Or: "m{a} | m{b}",
+    Implies: "(full ^ m{a}) | m{b}",
+    Next: "(m{a} << 1) & full",
+    WeakNext: "((m{a} << 1) & full) | 1",
+    Eventually: "full ^ ((m{a} & -m{a}) - 1) if m{a} else 0",
+    Always: "m{a} & ~(m{a} + 1)",
+    Until: "(t := m{a} | m{b}) & (m{b} | ((t + m{b}) ^ t ^ m{b}))",
+    WeakUntil: "(t := m{a} | m{b}) & (m{b} | ((t + m{b} + 1) ^ t ^ m{b}))",
+}
+
+
+def _generate(program: tuple[tuple, ...]) -> Callable[[tuple, int], int]:
+    """The program as one straight-line function of a trace's states and
+    its full mask, returning the root's mask. A Prop instruction's mask is
+    built in one loop over the states shared by every atom; each other
+    instruction is one flat assignment. Atom names enter the source only
+    through repr."""
+    atoms = [(slot, name) for slot, (op, name, _) in enumerate(program) if op is Prop]
+    lines = ["def run(states, full):"]
+    if atoms:
+        lines += [f"    m{slot} = 0" for slot, _ in atoms]
+        lines += ["    for state in states:", "        atoms = state.atoms"]
+        lines += [f"        m{slot} = (m{slot} << 1) | ({name!r} in atoms)" for slot, name in atoms]
+    lines += [
+        f"    m{slot} = {_EXPRESSIONS[op].format(a=a, b=b)}"
+        for slot, (op, a, b) in enumerate(program)
+        if op is not Prop
+    ]
+    lines.append(f"    return m{len(program) - 1}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<ltl program>", "exec"), namespace)
+    return namespace["run"]
+
+
+# Generated functions by program. Bounded like `re`'s pattern cache, which
+# drops its oldest entry when full; a process evaluates a few dozen distinct
+# formulas (a suite's requirements, the 40 cells of the crosscheck), and
+# every formula object keeps its own function besides. The lock makes the
+# look-up, eviction and insertion one step; it is taken once per formula
+# object, not per evaluation.
+_RUNNERS: dict[tuple[tuple, ...], Callable[[tuple, int], int]] = {}
+_MAX_RUNNERS = 64
+_RUNNERS_LOCK = threading.Lock()
+
+
+def _runner(program: tuple[tuple, ...]) -> Callable[[tuple, int], int]:
+    with _RUNNERS_LOCK:
+        run = _RUNNERS.get(program)
+        if run is None:
+            if len(_RUNNERS) >= _MAX_RUNNERS:
+                del _RUNNERS[next(iter(_RUNNERS))]
+            run = _RUNNERS[program] = _generate(program)
+    return run
+
+
 def eval_ltlf(formula: Formula, trace: Trace, pos: int = 0) -> bool:
     """Evaluate a formula at a position of a nonempty finite trace.
 
@@ -232,55 +318,13 @@ def eval_ltlf(formula: Formula, trace: Trace, pos: int = 0) -> bool:
     """
     if not isinstance(formula, Formula):
         raise TypeError(f"not a formula: {formula!r}")
-    n = len(trace)
+    states = trace.states
+    n = len(states)
     if n == 0:
         raise ValueError("finite-trace semantics requires a nonempty trace")
     if not 0 <= pos < n:
         raise ValueError(f"position {pos} outside trace of length {n}")
-    states = trace.states
-    full = (1 << n) - 1
-    masks: list[int] = []
-    push = masks.append
-    for op, a, b in formula._program:
-        if op is And:
-            push(masks[a] & masks[b])
-        elif op is Not:
-            push(full ^ masks[a])
-        elif op is Prop:
-            mask = 0
-            for state in states:
-                mask = (mask << 1) | (a in state.atoms)
-            push(mask)
-        elif op is Or:
-            push(masks[a] | masks[b])
-        elif op is Implies:
-            push((full ^ masks[a]) | masks[b])
-        elif op is Until or op is WeakUntil:
-            # Backward induction u[i] = b[i] | (a[i] & u[i+1]) is a carry
-            # chain from bit 0 upwards: b generates, a propagates, and the
-            # carries into each bit are (t + b) ^ t ^ b. W carries one in
-            # from beyond the end of the trace.
-            right = masks[b]
-            t = masks[a] | right
-            carry_in = 1 if op is WeakUntil else 0
-            push(t & (right | ((t + right + carry_in) ^ t ^ right)))
-        elif op is Next:
-            push((masks[a] << 1) & full)
-        elif op is WeakNext:
-            push(((masks[a] << 1) & full) | 1)
-        elif op is Eventually:
-            # Every position at or before the last one where the operand holds.
-            mask = masks[a]
-            push(full ^ ((mask & -mask) - 1) if mask else 0)
-        elif op is Always:
-            # The run of set bits ending at the last position.
-            mask = masks[a]
-            push(mask & ~(mask + 1))
-        elif op is TrueBool:
-            push(full)
-        else:  # FalseBool
-            push(0)
-    return bool(masks[-1] >> (n - 1 - pos) & 1)
+    return bool(formula._run(states, (1 << n) - 1) >> (n - 1 - pos) & 1)
 
 
 # --- emission ----------------------------------------------------------------
@@ -289,19 +333,39 @@ class UnsupportedPattern(ValueError):
     """The pattern/scope combination has no emitted formula."""
 
 
+# Each condition operator's formula class and operand fields.
+_EMBEDDED = {CondNot: (Not, ("inner",)), CondAnd: (And, ("left", "right")), CondOr: (Or, ("left", "right"))}
+
+
 def condition_formula(cond: Condition) -> Formula:
-    """Embed a propositional condition into the formula language."""
-    if isinstance(cond, Const):
-        return TrueBool() if cond.value else FalseBool()
-    if isinstance(cond, Ref):
-        return Prop(cond.name)
-    if isinstance(cond, CondNot):
-        return Not(condition_formula(cond.inner))
-    if isinstance(cond, CondAnd):
-        return And(condition_formula(cond.left), condition_formula(cond.right))
-    if isinstance(cond, CondOr):
-        return Or(condition_formula(cond.left), condition_formula(cond.right))
-    raise TypeError(f"not a condition: {cond!r}")
+    """Embed a propositional condition into the formula language. Built
+    bottom-up without recursion, so a condition of any depth embeds; a
+    subcondition shared by object becomes one shared formula node."""
+    built: dict[int, Formula] = {}  # by id(): every node lives on in `cond`
+    stack = [cond]
+    while stack:
+        node = stack[-1]
+        if id(node) in built:
+            stack.pop()
+            continue
+        cls = type(node)
+        if cls is Const:
+            formula: Formula = TrueBool() if node.value else FalseBool()
+        elif cls is Ref:
+            formula = Prop(node.name)
+        elif cls in _EMBEDDED:
+            op, fields = _EMBEDDED[cls]
+            kids = [getattr(node, field) for field in fields]
+            pending = [kid for kid in kids if id(kid) not in built]
+            if pending:
+                stack.extend(pending)
+                continue
+            formula = op(*[built[id(kid)] for kid in kids])
+        else:
+            raise TypeError(f"not a condition: {node!r}")
+        built[id(node)] = formula
+        stack.pop()
+    return built[id(cond)]
 
 
 # Bounded existence's formula grows with k, so its cells generate a block b

@@ -12,7 +12,7 @@ import pytest
 
 from reqpat.conditions import And as CondAnd
 from reqpat.conditions import Not as CondNot
-from reqpat.conditions import ConditionSyntaxError, MAX_NESTING, Ref, parse_condition
+from reqpat.conditions import ConditionSyntaxError, MAX_NESTING, Ref, State, Trace, parse_condition
 from reqpat import patterns
 from reqpat.ltl import _TEMPLATES, Prop, UnsupportedPattern, emit_ltl, eval_ltlf, parse, print_formula
 from reqpat.patterns import (
@@ -36,7 +36,7 @@ from reqpat.patterns import (
     map_conditions,
 )
 
-from helpers import all_traces, random_trace, reference_eval_ltlf
+from helpers import DEFAULT_ATOMS, all_traces, random_trace, reference_eval_ltlf
 from test_acceptance import ALL_SCOPES, CORE_PATTERNS
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
@@ -296,3 +296,36 @@ def test_criterion_1_formulas_agree_with_the_reference_evaluator(pattern, patter
     atoms = tuple(dict.fromkeys(pattern_atoms + scope_atoms))
     for trace in all_traces(atoms, max_len=4):
         assert eval_ltlf(formula, trace, 0) is reference_eval_ltlf(formula, trace)[0]
+
+
+# A pattern and a scope for each template cell's tags; bounded existence
+# takes the last of criterion 1's bounds, k = 2.
+CELL_PATTERNS = {TAGS[type(p)]: p for p, _ in CORE_PATTERNS} | {"strict_response": Response(P, S, strict=True)}
+CELL_SCOPES = {TAGS[type(scope)]: scope for scope, _ in ALL_SCOPES}
+
+
+@pytest.mark.parametrize("cell", sorted(_TEMPLATES), ids="-".join)
+def test_every_template_agrees_with_the_reference_on_multi_word_traces(cell):
+    """Masks of 60-200 positions span several machine words, so until's
+    carry chain crosses word boundaries. Each atom gets its own density per
+    trace, from nearly never to nearly always, so that long runs of one
+    truth value occur. The verdict of `check` is held to position 0 too."""
+    requirement = req(CELL_PATTERNS[cell[0]], CELL_SCOPES[cell[1]])
+    formula = emit_ltl(requirement)
+    rng = random.Random("/".join(cell))
+    for _ in range(12):
+        density = {atom: rng.choice((0.02, 0.2, 0.6, 0.98)) for atom in DEFAULT_ATOMS}
+        length = rng.randint(60, 200)
+        trace = Trace(State(a for a in DEFAULT_ATOMS if rng.random() < density[a]) for _ in range(length))
+        expected = reference_eval_ltlf(formula, trace)
+        assert [eval_ltlf(formula, trace, pos) for pos in range(length)] == expected
+        assert expected[0] is isinstance(check(requirement, trace), Holds)
+
+
+def test_condition_chain_of_5000_emits_and_evaluates_without_recursion():
+    chain = Ref("a")
+    for i in range(4999):
+        chain = CondAnd(Ref("ab"[i % 2]), chain)
+    formula = emit_ltl(req(Universality(chain), Between(Q, R)))
+    assert eval_ltlf(formula, Trace.of({"q", "a", "b"}, {"a", "b"}, {"r"}), 0) is True
+    assert eval_ltlf(formula, Trace.of({"q", "a", "b"}, {"a"}, {"r"}), 0) is False

@@ -1,10 +1,15 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reqpat.conditions import MAX_NESTING, Ref, Trace
+from reqpat.patterns import Between, Requirement, Response
 from reqpat import ltl
 from reqpat.ltl import (
     Always,
@@ -230,11 +235,103 @@ def test_evaluation_leaves_value_semantics_unchanged():
         assert formula == twin and twin == formula
 
 
+def _count_generations(monkeypatch) -> list:
+    """Start from an empty cache of generated functions and record the
+    program of every function generated from here on."""
+    generated = []
+    generate = ltl._generate
+
+    def counting(program):
+        generated.append(program)
+        return generate(program)
+
+    monkeypatch.setattr(ltl, "_generate", counting)
+    monkeypatch.setattr(ltl, "_RUNNERS", {})
+    return generated
+
+
 @pytest.mark.parametrize("formula", [Ref("p"), "p", Not(Ref("p"))])
-def test_eval_rejects_non_formulas_and_caches_nothing(formula):
+def test_eval_rejects_non_formulas_and_caches_nothing(formula, monkeypatch):
+    generated = _count_generations(monkeypatch)
     with pytest.raises(TypeError, match="not a formula"):
         eval_ltlf(formula, Trace.of({"p"}), 0)
     assert "_program" not in getattr(formula, "__dict__", {})
+    assert "_run" not in getattr(formula, "__dict__", {})
+    assert generated == []
+
+
+def test_two_emissions_of_one_requirement_share_one_generated_function(monkeypatch):
+    generated = _count_generations(monkeypatch)
+    requirement = Requirement("req", Response(Ref("p"), Ref("s")), Between(Ref("q"), Ref("r")))
+    first, second = ltl.emit_ltl(requirement), ltl.emit_ltl(requirement)
+    assert first is not second
+    for trace, expected in ((Trace.of({"q"}, {"p"}, {"s"}, {"r"}), True), (Trace.of({"q", "p"}, {"r"}), False)):
+        assert eval_ltlf(first, trace, 0) is expected
+        assert eval_ltlf(second, trace, 0) is expected
+    assert len(generated) == 1
+    assert first._run is second._run
+
+
+def test_generated_functions_are_cached_up_to_a_bound(monkeypatch):
+    generated = _count_generations(monkeypatch)
+    trace = Trace.of({"p"}, set())
+    formula = Prop("p")
+    programs = []
+    for _ in range(ltl._MAX_RUNNERS + 3):
+        formula = WeakNext(formula)
+        assert eval_ltlf(formula, trace, 1) is True
+        programs.append(formula._program)
+    assert generated == programs
+    assert list(ltl._RUNNERS) == programs[3:]
+
+
+def test_threads_sharing_the_cache_generate_each_program_once(monkeypatch):
+    """Threads look up the same programs at once. The cache itself is hit,
+    not `Formula._run`, whose cached_property serializes first accesses on
+    some Python versions only."""
+    generated = _count_generations(monkeypatch)
+    programs = []
+    formula = Prop("p")
+    for _ in range(16):
+        formula = WeakNext(formula)
+        programs.append(formula._program)
+    start = threading.Barrier(8)
+    runs: list[list] = []
+    errors = []
+
+    def look_up():
+        try:
+            start.wait(timeout=60)
+            runs.append([ltl._runner(program) for program in programs])
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=look_up) for _ in range(start.parties)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert generated == programs
+    assert all(run == runs[0] for run in runs)
+
+
+def test_evaluated_formula_survives_pickle_and_copies():
+    formula = parse("[](p -> (q U r)) && !p W X s || <>[]q")
+    trace = Trace.of({"p"}, {"q"}, {"r"}, {"q"})
+    expected = eval_ltlf(formula, trace, 0)
+    assert "_run" in formula.__dict__
+    for clone in (pickle.loads(pickle.dumps(formula)), copy.copy(formula), copy.deepcopy(formula)):
+        assert clone == formula and clone is not formula
+        assert "_run" not in clone.__dict__
+        assert eval_ltlf(clone, trace, 0) is expected
+        assert clone._run is formula._run
 
 
 def test_print_of_5000_nested_parentheses_does_not_recurse():
