@@ -6,9 +6,11 @@ boolean expression over atom membership. Atoms absent from a state are false.
 Each condition class evaluates itself: `cond.holds(state)` is the condition's
 truth value in that state, and `eval_condition` is the checked entry point.
 
-The module also holds the engine that reads and writes text grammars given
-as tables (`Grammar`): conditions (`CONDITIONS`) here, and the formulas of
-`ltl`, whose propositional part conditions are.
+The module also holds the engine for tree languages given as tables
+(`Grammar`): conditions (`CONDITIONS`) here, and the formulas of `ltl`, whose
+propositional part conditions are. It reads and writes their text, and it
+compiles a tree into a flat post-order program and builds one back, so that
+every walk over a tree, such as `condition_atoms`, is a loop over a program.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 ATOM_RE = re.compile(r"[a-z_][a-z0-9_]*")
 
@@ -40,6 +42,10 @@ class Condition:
 @dataclass(frozen=True)
 class Const(Condition):
     value: bool
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.value, bool):
+            raise ValueError(f"not a truth value: {self.value!r}")
 
     def holds(self, state: State) -> bool:
         return self.value
@@ -137,15 +143,8 @@ def eval_condition(expr: Condition, state: State) -> bool:
 
 
 def condition_atoms(expr: Condition) -> frozenset[str]:
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Ref):
-        return frozenset((expr.name,))
-    if isinstance(expr, Not):
-        return condition_atoms(expr.inner)
-    if isinstance(expr, (And, Or)):
-        return condition_atoms(expr.left) | condition_atoms(expr.right)
-    raise TypeError(f"not a condition: {expr!r}")
+    """The names of the atoms a condition reads, at any depth."""
+    return frozenset([name for op, name, _ in CONDITIONS.compile(expr) if op is Ref])
 
 
 # --- text --------------------------------------------------------------------
@@ -161,7 +160,8 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 class Grammar:
-    """A text grammar given as table data, read and written by one engine.
+    """A tree language and its text grammar, given as table data and read,
+    written, compiled and built by one engine.
 
     `prefix` maps each unary operator token to its node class, and `infix`
     each binary one to its node class and precedence (at least 1, higher
@@ -174,6 +174,10 @@ class Grammar:
     refused when base + per operator x the operators pending + per
     parenthesis x the open parentheses, one that the operand opens
     included, exceeds MAX_NESTING.
+
+    The tables also give each node's operands: a unary class's one field,
+    a binary class's `left` and `right`, none for an atom or a constant.
+    `compile` and `build` walk trees by them, and neither recurses.
     """
 
     def __init__(self, noun: str, error: type, atom: type, constants: dict, prefix: dict, infix: dict,
@@ -258,6 +262,68 @@ class Grammar:
             else:
                 raise TypeError(f"not a {self.noun}: {node!r}")
         return "".join(out), deepest
+
+    def compile(self, root) -> tuple[tuple, ...]:
+        """The tree as a post-order program of (node class, operand, operand)
+        instructions, built without recursion. An operator's operands are the
+        slots of its operands' instructions, an atom's is its name and a
+        constant's its token; absent ones are None. Structurally equal
+        subtrees share one slot, and the root is the last instruction."""
+        unary, binary, atom = self.unary, self.binary, self.atom
+        program: list[tuple] = []
+        slot_of_key: dict[tuple, int] = {}
+        slot_of_node: dict[int, int] = {}  # by id(): every node lives on in `root`
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in slot_of_node:
+                stack.pop()
+                continue
+            cls = type(node)
+            if cls in binary:
+                left, right = node.left, node.right
+                if id(left) not in slot_of_node or id(right) not in slot_of_node:
+                    stack += (left, right)  # one compiled already is popped at once
+                    continue
+                key = (cls, slot_of_node[id(left)], slot_of_node[id(right)])
+            elif cls in unary:
+                operand = getattr(node, unary[cls][1])
+                if id(operand) not in slot_of_node:
+                    stack.append(operand)
+                    continue
+                key = (cls, slot_of_node[id(operand)], None)
+            elif cls is atom:
+                key = (cls, node.name, None)
+            elif cls in self.constant_classes and node in self.constant_text:
+                key = (cls, self.constant_text[node], None)
+            else:
+                raise TypeError(f"not a {self.noun}: {node!r}")
+            stack.pop()
+            slot = slot_of_key.get(key)
+            if slot is None:
+                slot = slot_of_key[key] = len(program)
+                program.append(key)
+            slot_of_node[id(node)] = slot
+        return tuple(program)
+
+    def build(self, program: Iterable[tuple], atom: Callable[[str], object]):
+        """The tree of a program in `compile`'s form, its last instruction's
+        node: each instruction is built once, so a slot used twice is one
+        shared node. An atom's instruction becomes `atom(name)`, and a
+        constant's this grammar's constant of its token."""
+        unary, constants, atom_class = self.unary, self.constants, self.atom
+        built: list = []
+        add = built.append
+        for op, a, b in program:
+            if b is not None:
+                add(op(built[a], built[b]))
+            elif op in unary:
+                add(op(built[a]))
+            elif op is atom_class:
+                add(atom(a))
+            else:
+                add(constants[a])
+        return built[-1]
 
 
 class _Parser:

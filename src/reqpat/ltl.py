@@ -8,22 +8,24 @@ finite, nonempty traces; strong next fails at the final state, weak next
 succeeds there.
 
 Evaluation is bit-parallel. A formula is compiled once, on its first
-evaluation, into a flat program with one instruction per structurally
-distinct subformula, and the program is generated into one straight-line
-Python function: a single pass over the trace builds every atom's mask, then
-one assignment per instruction computes that subformula's truth at every
-position as one integer mask. Next is a shift, eventually and always take
-the lowest set bit, and until is one addition. The function is kept on the
-formula object and shared through a small bounded cache keyed by the
-program, so formulas with equal programs, such as two emissions of one
-requirement, generate it once. No expression nests per formula level and
-neither compiling nor generating recurses, so a formula of any depth
-evaluates; printing does not recurse either.
+evaluation, by the grammar engine (`FORMULAS.compile`) into a flat program
+with one instruction per structurally distinct subformula, and the program
+is generated into one straight-line Python function: a single pass over the
+trace builds every atom's mask, then one assignment per instruction computes
+that subformula's truth at every position as one integer mask. Next is a
+shift, eventually and always take the lowest set bit, and until is one
+addition. The function is kept on the formula object and shared through a
+small bounded cache keyed by the program, so formulas with equal programs,
+such as two emissions of one requirement, generate it once. No expression
+nests per formula level and neither compiling nor generating recurses, so a
+formula of any depth evaluates; printing does not recurse either.
 
 Emission reads one table of requirement templates: for each (pattern tag,
 scope tag) cell of the `patterns` catalogue, formula text over placeholders
-for the requirement's conditions, parsed on first use and instantiated by
-putting each condition's formula in its placeholder's place in the tree.
+for the requirement's conditions, compiled on first use and instantiated by
+building its program with each condition's formula in its placeholder's
+place. A condition's formula is its program under `conditions.CONDITIONS`,
+each class renamed, built by `FORMULAS`: the embedding maps token for token.
 One rule bounds what is emitted: the printed formula must parse back, so a
 formula whose parentheses nest more than MAX_NESTING deep is unsupported.
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
 
-from .conditions import MAX_NESTING, Condition, Const, Grammar, Ref, Trace, require_atom
+from .conditions import CONDITIONS, MAX_NESTING, Condition, Grammar, Ref, Trace, require_atom
 from .conditions import And as CondAnd
 from .conditions import Not as CondNot
 from .conditions import Or as CondOr
@@ -67,7 +69,7 @@ class Formula:
         """The evaluation program, compiled on first use and kept on the
         node: formulas are immutable, and dataclass ==, hash and repr read
         only the fields."""
-        return _compile(self)
+        return FORMULAS.compile(self)
 
     @cached_property
     def _run(self) -> Callable[[tuple, int], int]:
@@ -198,55 +200,15 @@ def print_formula(formula: Formula) -> str:
 # A subformula's truth over a trace of length n is one int mask, with position
 # i at bit n-1-i: later positions are lower bits.
 
-def _operands(node: Formula) -> tuple:
-    cls = type(node)
-    if cls in FORMULAS.binary:
-        return (node.left, node.right)
-    if cls in FORMULAS.unary:
-        return (node.operand,)
-    if cls in (Prop, TrueBool, FalseBool):
-        return ()
-    raise TypeError(f"not a formula: {node!r}")
-
-
-def _compile(formula: Formula) -> tuple[tuple, ...]:
-    """Post-order program of (node class, operand, operand) instructions,
-    built without recursion. An operand is the slot of a subformula's
-    instruction, or an atom name. Structurally equal subformulas share one
-    slot, and the root is the last instruction."""
-    program: list[tuple] = []
-    slot_of_key: dict[tuple, int] = {}
-    slot_of_node: dict[int, int] = {}  # by id(): every node lives on in `formula`
-    stack = [formula]
-    while stack:
-        node = stack[-1]
-        if id(node) in slot_of_node:
-            stack.pop()
-            continue
-        kids = _operands(node)
-        pending = [kid for kid in kids if id(kid) not in slot_of_node]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        slots = [slot_of_node[id(kid)] for kid in kids] + [None, None]
-        op = type(node)
-        key = (op, node.name, None) if op is Prop else (op, slots[0], slots[1])
-        slot = slot_of_key.get(key)
-        if slot is None:
-            slot = slot_of_key[key] = len(program)
-            program.append(key)
-        slot_of_node[id(node)] = slot
-    return tuple(program)
-
-
 # Each instruction's mask as one expression over the masks m{a} and m{b} of
 # its operands' slots and the mask `full` of every position, by node class.
 # Until's backward induction u[i] = b[i] | (a[i] & u[i+1]) is a carry chain
-# from bit 0 upwards: b generates, a propagates, and the carries into each
-# bit are (t + b) ^ t ^ b. W carries one in from beyond the end of the trace.
+# from bit 0 upwards in t + b, with t = a | b: b generates, a propagates.
+# Where a holds and b does not, t's bit is 1 and b's is 0, so the sum's bit
+# is the carry inverted. W carries one in from beyond the end of the trace.
 # Eventually holds at every position at or before the last one where its
-# operand holds; always on the run of set bits ending at the last position.
+# operand holds, the lowest set bit and all above it; always on the run of
+# set bits ending at the last position.
 _EXPRESSIONS = {
     TrueBool: "full",
     FalseBool: "0",
@@ -256,10 +218,10 @@ _EXPRESSIONS = {
     Implies: "(full ^ m{a}) | m{b}",
     Next: "(m{a} << 1) & full",
     WeakNext: "((m{a} << 1) & full) | 1",
-    Eventually: "full ^ ((m{a} & -m{a}) - 1) if m{a} else 0",
+    Eventually: "full & -(m{a} & -m{a})",
     Always: "m{a} & ~(m{a} + 1)",
-    Until: "(t := m{a} | m{b}) & (m{b} | ((t + m{b}) ^ t ^ m{b}))",
-    WeakUntil: "(t := m{a} | m{b}) & (m{b} | ((t + m{b} + 1) ^ t ^ m{b}))",
+    Until: "(t := m{a} | m{b}) & (m{b} | ~(t + m{b}))",
+    WeakUntil: "(t := m{a} | m{b}) & (m{b} | ~(t + m{b} + 1))",
 }
 
 
@@ -333,39 +295,18 @@ class UnsupportedPattern(ValueError):
     """The pattern/scope combination has no emitted formula."""
 
 
-# Each condition operator's formula class and operand fields.
-_EMBEDDED = {CondNot: (Not, ("inner",)), CondAnd: (And, ("left", "right")), CondOr: (Or, ("left", "right"))}
+# Each condition class's formula class. A constant's instruction keeps its
+# class: `build` makes it from its token, which both grammars share.
+_EMBEDDED = {Ref: Prop, CondNot: Not, CondAnd: And, CondOr: Or}
 
 
 def condition_formula(cond: Condition) -> Formula:
-    """Embed a propositional condition into the formula language. Built
-    bottom-up without recursion, so a condition of any depth embeds; a
-    subcondition shared by object becomes one shared formula node."""
-    built: dict[int, Formula] = {}  # by id(): every node lives on in `cond`
-    stack = [cond]
-    while stack:
-        node = stack[-1]
-        if id(node) in built:
-            stack.pop()
-            continue
-        cls = type(node)
-        if cls is Const:
-            formula: Formula = TrueBool() if node.value else FalseBool()
-        elif cls is Ref:
-            formula = Prop(node.name)
-        elif cls in _EMBEDDED:
-            op, fields = _EMBEDDED[cls]
-            kids = [getattr(node, field) for field in fields]
-            pending = [kid for kid in kids if id(kid) not in built]
-            if pending:
-                stack.extend(pending)
-                continue
-            formula = op(*[built[id(kid)] for kid in kids])
-        else:
-            raise TypeError(f"not a condition: {node!r}")
-        built[id(node)] = formula
-        stack.pop()
-    return built[id(cond)]
+    """Embed a propositional condition into the formula language: its
+    program, each instruction's class renamed, built as a formula. Neither
+    step recurses, so a condition of any depth embeds, and equal
+    subconditions become one shared formula node."""
+    program = CONDITIONS.compile(cond)
+    return FORMULAS.build(((_EMBEDDED.get(op, op), a, b) for op, a, b in program), Prop)
 
 
 # Bounded existence's formula grows with k, so its cells generate a block b
@@ -464,33 +405,13 @@ _TEMPLATES: dict[tuple[str, str], str | tuple[str, Callable[[dict], Formula]]] =
 
 @cache
 def _template(cell: tuple[str, str]) -> tuple[tuple[tuple, ...], Callable[[dict], Formula] | None]:
-    """A cell's template, parsed on first use and kept as its evaluation
-    program, and its block generator."""
+    """A cell's template, parsed on first use and kept as its program, and
+    its block generator."""
     entry = _TEMPLATES.get(cell)
     if entry is None:
         raise UnsupportedPattern(f"no emitted formula for {cell[0]} under {cell[1]}")
     text, block = entry if isinstance(entry, tuple) else (entry, None)
-    return _compile(parse(text)), block
-
-
-def _instantiate(program: tuple[tuple, ...], slots: dict[str, Formula]) -> Formula:
-    """The template with each placeholder replaced by its slot's formula.
-
-    One pass over the template's program, which lists its structurally
-    distinct subformulas in post-order, so a subformula the text repeats is
-    built once and shared. Slot formulas are inserted, never searched, so an
-    atom in them named like a placeholder stays itself."""
-    built: list[Formula] = []
-    for op, a, b in program:
-        if op is Prop:
-            built.append(slots[a])
-        elif b is not None:
-            built.append(op(built[a], built[b]))
-        elif a is not None:
-            built.append(op(built[a]))
-        else:
-            built.append(op())
-    return built[-1]
+    return FORMULAS.compile(parse(text)), block
 
 
 def emit_ltl(req: Requirement) -> Formula:
@@ -518,7 +439,10 @@ def emit_ltl(req: Requirement) -> Formula:
         if slots["k"] > MAX_NESTING:
             raise UnsupportedPattern(f"bounded existence is only emitted for k <= {MAX_NESTING}")
         slots["b"] = block(slots)
-    formula = _instantiate(template, slots)
+    # Each placeholder is built as its slot's formula: inserted, never
+    # searched, so an atom in it named like a placeholder stays itself. A
+    # subformula the template repeats is built once and shared.
+    formula = FORMULAS.build(template, slots.__getitem__)
     depth = formula._rendered[1]
     if depth > MAX_NESTING:
         raise UnsupportedPattern(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from reqpat import ltl
 from reqpat.conditions import (
+    CONDITIONS,
     And,
     ConditionSyntaxError,
     Const,
@@ -110,6 +111,60 @@ def test_format_parse_round_trip_random():
 def test_condition_atoms():
     cond = And(Ref("p"), Or(Not(Ref("q")), Const(True)))
     assert condition_atoms(cond) == frozenset({"p", "q"})
+
+
+def test_condition_atoms_of_a_5000_deep_chain():
+    chain = Ref("a")
+    for i in range(5000):
+        chain = And(Ref(f"b{i % 3}"), chain)
+    assert condition_atoms(chain) == frozenset({"a", "b0", "b1", "b2"})
+
+
+@pytest.mark.parametrize("value", [2, 0, 1, None, "true"])
+def test_const_holds_only_a_truth_value(value):
+    with pytest.raises(ValueError, match="not a truth value"):
+        Const(value)
+
+
+def _random_dag(rng: random.Random):
+    """A condition whose subtrees are shared objects: each new node takes
+    its operands from the nodes built so far."""
+    pool = [random_condition(rng, depth=2) for _ in range(3)]
+    for _ in range(rng.randint(1, 10)):
+        if rng.random() < 0.3:
+            pool.append(Not(rng.choice(pool)))
+        else:
+            pool.append(rng.choice((And, Or))(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
+def test_compile_and_build_are_inverse():
+    """A shared tree and an unshared equal copy of it, as printed and
+    parsed back, compile to one program, and building it gives the tree."""
+    rng = random.Random(20261019)
+    for shared in (False, True) * 300:
+        cond = _random_dag(rng) if shared else random_condition(rng, depth=5)
+        program = CONDITIONS.compile(cond)
+        assert CONDITIONS.compile(parse_condition(format_condition(cond))) == program
+        assert CONDITIONS.build(program, Ref) == cond
+
+
+def test_conditions_embed_into_formulas_token_for_token():
+    rng = random.Random(20261020)
+    for _ in range(500):
+        cond = random_condition(rng, depth=5)
+        assert ltl.print_formula(ltl.condition_formula(cond)) == format_condition(cond)
+
+
+@pytest.mark.parametrize(
+    "grammar,node,foreign",
+    [(ltl.FORMULAS, ltl.Not(Ref("p")), "not a formula: Ref(name='p')"),
+     (CONDITIONS, Not(ltl.Prop("p")), "not a condition: Prop(name='p')")],
+)
+def test_compile_names_a_node_of_the_other_family(grammar, node, foreign):
+    with pytest.raises(TypeError) as exc_info:
+        grammar.compile(node)
+    assert str(exc_info.value) == foreign
 
 
 NESTING_SHAPES = {

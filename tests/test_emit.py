@@ -5,6 +5,7 @@ runs the full one)."""
 import dataclasses
 import functools
 import itertools
+import json
 import random
 import re
 
@@ -13,6 +14,7 @@ import pytest
 from reqpat.conditions import And as CondAnd
 from reqpat.conditions import Not as CondNot
 from reqpat.conditions import ConditionSyntaxError, MAX_NESTING, Ref, State, Trace, parse_condition
+from reqpat.conditions import Condition, condition_atoms
 from reqpat import patterns
 from reqpat.ltl import _TEMPLATES, Prop, UnsupportedPattern, emit_ltl, eval_ltlf, parse, print_formula
 from reqpat.patterns import (
@@ -35,6 +37,7 @@ from reqpat.patterns import (
     check,
     map_conditions,
 )
+from reqpat.suite import load_suite
 
 from helpers import DEFAULT_ATOMS, all_traces, random_trace, reference_eval_ltlf
 from test_acceptance import ALL_SCOPES, CORE_PATTERNS
@@ -329,3 +332,34 @@ def test_condition_chain_of_5000_emits_and_evaluates_without_recursion():
     formula = emit_ltl(req(Universality(chain), Between(Q, R)))
     assert eval_ltlf(formula, Trace.of({"q", "a", "b"}, {"a", "b"}, {"r"}), 0) is True
     assert eval_ltlf(formula, Trace.of({"q", "a", "b"}, {"a"}, {"r"}), 0) is False
+
+
+def test_checking_and_emitting_keep_nothing_on_condition_nodes():
+    """A condition node holds only its fields: an attribute kept on it would
+    move it off the interpreter's fast path for instance attributes, and
+    every later read of the condition would pay for that."""
+    suite = load_suite(json.dumps({
+        "conditions": {"start": "req && !grant", "stop": "done || false", "ok": "!(grant && done) || true"},
+        "requirements": [
+            {"name": "respond", "pattern": {"type": "response", "p": "start", "s": "ok"},
+             "scope": {"type": "between", "q": "start", "r": "stop"}},
+            {"name": "never", "pattern": {"type": "absence", "p": "stop"}, "scope": {"type": "globally"}},
+            {"name": "chain", "pattern": {"type": "precedence_chain", "chain": ["start", "ok"], "p": "stop"},
+             "scope": {"type": "before", "r": "stop"}},
+        ],
+    }))
+    trace = Trace.of({"req"}, {"grant"}, {"done"}, {"req", "grant", "done"})
+    for requirement in suite.requirements:
+        check(requirement, trace)
+        try:
+            emit_ltl(requirement)
+        except UnsupportedPattern:
+            pass
+    for condition in suite.conditions.values():
+        condition_atoms(condition)
+    stack = list(suite.conditions.values())
+    while stack:
+        node = stack.pop()
+        names = [field.name for field in dataclasses.fields(node)]
+        assert sorted(vars(node)) == sorted(names)
+        stack += [getattr(node, name) for name in names if isinstance(getattr(node, name), Condition)]

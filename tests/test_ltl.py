@@ -217,6 +217,31 @@ def test_eval_agrees_with_reference_at_every_position(seed, shared, length):
         assert eval_ltlf(formula, trace, pos) is expected[pos]
 
 
+@pytest.mark.parametrize("op", [Until, WeakUntil, Eventually])
+def test_bare_temporal_operators_agree_with_the_reference_on_multi_word_traces(op):
+    """Masks of 60-200 positions span several machine words, so until's
+    carry and eventually's lowest set bit cross word boundaries; runs of
+    one truth value come from densities near 0 and 1."""
+    rng = random.Random(op.__name__)
+    formula = op(Prop("p")) if op is Eventually else op(Prop("p"), Prop("q"))
+    for _ in range(40):
+        density = {atom: rng.choice((0.01, 0.3, 0.7, 0.99)) for atom in "pq"}
+        length = rng.randint(60, 200)
+        trace = Trace.of(*({a for a in "pq" if rng.random() < density[a]} for _ in range(length)))
+        assert [eval_ltlf(formula, trace, pos) for pos in range(length)] == reference_eval_ltlf(formula, trace)
+
+
+def test_compile_and_build_are_inverse():
+    """A shared formula and an unshared equal copy of it, as printed and
+    parsed back, compile to one program, and building it gives the formula."""
+    rng = random.Random(20261021)
+    for shared in (False, True) * 300:
+        formula = _random_dag(rng) if shared else random_formula(rng, depth=6)
+        program = ltl.FORMULAS.compile(formula)
+        assert ltl.FORMULAS.compile(parse(print_formula(formula))) == program
+        assert ltl.FORMULAS.build(program, Prop) == formula
+
+
 def test_not_chain_of_5000_evaluates_without_recursion():
     formula = Prop("p")
     for _ in range(5000):
