@@ -17,6 +17,8 @@ MIDNIGHT_ATOM = "at_2400"
 MIDNIGHT = Ref(MIDNIGHT_ATOM)
 
 _LAST_MINUTE = 1440
+_AT_MIDNIGHT = State((MIDNIGHT_ATOM,))
+_BEFORE_MIDNIGHT = State()
 
 
 class Clock:
@@ -32,9 +34,9 @@ class Clock:
         self.minute = 1 if self.minute == _LAST_MINUTE else self.minute + 1
 
     def observations(self) -> State:
-        if self.minute == _LAST_MINUTE:
-            return State((MIDNIGHT_ATOM,))
-        return State()
+        """The atoms that hold now: `at_2400` at 24:00 and none otherwise.
+        Every call returns one of two shared, immutable State objects."""
+        return _AT_MIDNIGHT if self.minute == _LAST_MINUTE else _BEFORE_MIDNIGHT
 
     def display(self) -> str:
         return clock_display(self.minute)

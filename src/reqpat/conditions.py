@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Iterator, NoReturn
 ATOM_RE = re.compile(r"[a-z_][a-z0-9_]*")
 
 
-def is_valid_atom(name: str) -> bool:
-    return bool(ATOM_RE.fullmatch(name))
+def is_valid_atom(name: object) -> bool:
+    return isinstance(name, str) and ATOM_RE.fullmatch(name) is not None
 
 
 def require_atom(name: str) -> str:

@@ -23,7 +23,7 @@ name, requirement name or ``meta`` string may contain a line break.
 
 Trace files are JSON Lines: one array of atom names per line, one line per
 state, atoms sorted on output. Atoms absent from a line are false. Identical
-lines load as one shared State.
+lines load as one shared State, and each distinct state is written once.
 """
 
 from __future__ import annotations
@@ -313,8 +313,19 @@ def load_trace(text: str) -> Trace:
     return Trace(states)
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def write_trace(trace: Trace) -> str:
     """Serialize a trace as JSON Lines, atoms sorted per line; inverse of
-    load_trace."""
-    lines = [json.dumps(sorted(state.atoms), separators=(",", ":")) for state in trace]
-    return "".join(line + "\n" for line in lines)
+    load_trace. Each distinct atom set is validated and encoded once. An atom
+    that load_trace would refuse raises ValueError naming it and the first
+    position holding it, so a written trace always loads back."""
+    rows = [state.atoms for state in trace.states]
+    lines: dict[frozenset[str], str] = {}
+    for atoms in dict.fromkeys(rows):
+        if not all(map(is_valid_atom, atoms)):
+            atom = min((a for a in atoms if not is_valid_atom(a)), key=repr)
+            raise ValueError(f"position {rows.index(atoms)}: invalid atom name {atom!r}")
+        lines[atoms] = _encode(sorted(atoms)) + "\n"
+    return "".join(map(lines.__getitem__, rows))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 
 from reqpat.conditions import And, Condition, Const, Not, Or, Ref, State, Trace
@@ -34,6 +35,11 @@ def random_state(rng: random.Random, atoms=DEFAULT_ATOMS, density: float = 0.4) 
 def random_trace(rng: random.Random, atoms=DEFAULT_ATOMS, max_len: int = 8, min_len: int = 0) -> Trace:
     length = rng.randint(min_len, max_len)
     return Trace(random_state(rng, atoms) for _ in range(length))
+
+
+def reference_write_trace(trace: Trace) -> str:
+    """suite.write_trace line by line: one fresh encoding per state."""
+    return "".join(json.dumps(sorted(state.atoms), separators=(",", ":")) + "\n" for state in trace)
 
 
 def random_condition(rng: random.Random, atoms=DEFAULT_ATOMS, depth: int = 3) -> Condition:

@@ -68,7 +68,7 @@ def test_valid_atoms(name):
     Ref(name)
 
 
-@pytest.mark.parametrize("name", ["", "9bad", "Upper", "has space", "has-dash", "p!"])
+@pytest.mark.parametrize("name", ["", "9bad", "Upper", "has space", "has-dash", "p!", 1, None])
 def test_invalid_atoms(name):
     assert not is_valid_atom(name)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reqpat.clock import MIDNIGHT, Clock
-from reqpat.conditions import Const, Not, State, eval_condition
+from reqpat.conditions import Const, Not, State, Trace, eval_condition
 from reqpat.harness import (
     NotReached,
     PreconditionViolation,
@@ -12,6 +12,7 @@ from reqpat.harness import (
     establish,
     record,
 )
+from reqpat.suite import load_trace, write_trace
 
 
 def test_record_initial_state_only():
@@ -53,6 +54,15 @@ def test_record_resets_first():
 def test_record_is_deterministic():
     clock = Clock()
     assert record(clock, 50) == record(clock, 50)
+
+
+def test_record_shares_one_state_per_clock_observation():
+    steps = 3 * 1440
+    trace = record(Clock(), steps)
+    assert len({id(state) for state in trace}) == 2
+    fresh = Trace(State({"at_2400"}) if t and t % 1440 == 0 else State() for t in range(steps + 1))
+    assert trace == fresh
+    assert load_trace(write_trace(trace)) == fresh
 
 
 def test_establish_fresh_clock():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reqpat.clock import builtin_suite
-from reqpat.conditions import MAX_NESTING, And, Not, Or, Ref, Trace
+from reqpat import suite as suite_io
+from reqpat.conditions import MAX_NESTING, And, Not, Or, Ref, State, Trace
 from reqpat.patterns import (
     PATTERNS,
     SCOPES,
@@ -34,7 +35,7 @@ from reqpat.suite import (
     write_trace,
 )
 
-from helpers import random_trace
+from helpers import random_state, random_trace, reference_write_trace
 
 
 def suite_text(**overrides) -> str:
@@ -294,6 +295,72 @@ def test_load_trace_repeated_malformed_line_reports_first_line():
 def test_write_trace_sorts_atoms():
     assert write_trace(Trace.of({"s", "p"})) == '["p","s"]\n'
     assert write_trace(Trace.of()) == ""
+
+
+def _mixed_trace(rng: random.Random) -> Trace:
+    """A trace whose states are drawn now from a small pool, so that equal
+    atom sets repeat, and now fresh."""
+    atoms = ("p", "q", "r", "s", "at_2400", "_x1")
+    pool = [random_state(rng, atoms) for _ in range(rng.randint(1, 4))]
+    length = rng.randint(0, 40)
+    return Trace(rng.choice(pool) if rng.random() < 0.7 else random_state(rng, atoms) for _ in range(length))
+
+
+def test_write_trace_matches_per_line_reference():
+    rng = random.Random(20261019)
+    for _ in range(500):
+        trace = _mixed_trace(rng)
+        assert write_trace(trace) == reference_write_trace(trace)
+    assert write_trace(Trace()) == reference_write_trace(Trace()) == ""
+
+
+def test_write_trace_encodes_each_distinct_atom_set_once(monkeypatch):
+    encoded = []
+    encode = suite_io._encode
+
+    def counting(atoms):
+        encoded.append(atoms)
+        return encode(atoms)
+
+    monkeypatch.setattr(suite_io, "_encode", counting)
+    trace = Trace.of({"p"}, set(), {"q", "p"}, {"p"}, set(), {"p", "q"}, {"p"})
+    assert write_trace(trace) == reference_write_trace(trace)
+    assert encoded == [["p"], [], ["p", "q"]]
+    encoded.clear()
+    rng = random.Random(7)
+    for _ in range(100):
+        trace = _mixed_trace(rng)
+        write_trace(trace)
+        assert len(encoded) == len({state.atoms for state in trace})
+        encoded.clear()
+
+
+@pytest.mark.parametrize("bad", ["9bad", "", "Upper", "has space", "a\nb", "é", 1, None])
+def test_write_trace_refuses_atoms_that_would_not_load(bad):
+    trace = Trace([State({"p"}), State(), State({"p", bad}), State({"q"}), State({bad, "p"})])
+    with pytest.raises(ValueError) as exc_info:
+        write_trace(trace)
+    assert str(exc_info.value) == f"position 2: invalid atom name {bad!r}"
+
+
+def test_write_trace_names_the_first_position_with_an_invalid_atom():
+    trace = Trace([State({"p"}), State({"Zed"}), State({"p"}), State({"Abe", "p"}), State({"Zed"})])
+    with pytest.raises(ValueError, match=r"^position 1: invalid atom name 'Zed'$"):
+        write_trace(trace)
+    with pytest.raises(ValueError, match=r"^position 0: invalid atom name 'Abe'$"):
+        write_trace(Trace([State({"Zed", "Abe"})]))
+
+
+@given(st.lists(st.frozensets(st.one_of(st.sampled_from(["p", "q", "at_2400"]), st.text(max_size=3)), max_size=3),
+                max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_written_traces_always_load_back(atom_sets):
+    trace = Trace(State(atoms) for atoms in atom_sets)
+    try:
+        text = write_trace(trace)
+    except ValueError:
+        return
+    assert load_trace(text) == trace
 
 
 def test_trace_round_trip_random():
