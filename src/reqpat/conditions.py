@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator
 
 ATOM_RE = re.compile(r"[a-z_][a-z0-9_]*")
 
@@ -150,10 +150,10 @@ def condition_atoms(expr: Condition) -> frozenset[str]:
 # --- text --------------------------------------------------------------------
 
 # Nesting bound of the text grammars, and so of every condition and formula
-# loaded from text. Evaluating, hashing, comparing and `repr` of a condition
-# recurse through the interpreter at up to three stack levels per operator;
-# the bound keeps all of them well inside its default recursion limit.
-# Printing does not recurse.
+# loaded from text. Parsing and printing do not recurse, but evaluating,
+# hashing, comparing and `repr` of a condition recurse through the
+# interpreter at up to three stack levels per operator; bounding the depth
+# of a loaded tree keeps all of them well inside its default recursion limit.
 MAX_NESTING = 200
 
 _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -177,7 +177,7 @@ class Grammar:
 
     The tables also give each node's operands: a unary class's one field,
     a binary class's `left` and `right`, none for an atom or a constant.
-    `compile` and `build` walk trees by them, and neither recurses.
+    `compile` and `build` walk trees by them. No method recurses.
     """
 
     def __init__(self, noun: str, error: type, atom: type, constants: dict, prefix: dict, infix: dict,
@@ -204,7 +204,10 @@ class Grammar:
         """The tree of the text. Every token is checked before any is parsed,
         so the first bad token is the error even after a syntax error. Each
         distinct atom is checked and built once; its occurrences share the
-        node."""
+        node. One loop parses by operator precedence, without recursion: each
+        pending operator waits on one stack as (class, precedence, left
+        operand), a unary one with no left operand, and an open parenthesis
+        as (None, 0, None), which no token reduces."""
         tokens = self._split(text)
         names = set(tokens).difference(self.keywords, [""])
         bad = {token for token in names if not ATOM_RE.fullmatch(token)}
@@ -212,11 +215,50 @@ class Grammar:
             match = next(match for match in self._scan(text) if match[1] in bad)
             what = "invalid atom name" if re.match(_WORD, match[1]) else "unexpected character"
             raise self.error(f"{what} {match[1]!r}", match.start(1))
-        parser = _Parser(self, text, tokens, {name: self.atom(name) for name in names})
-        node = parser.expression(0, 0)
-        if tokens[parser.index]:
-            parser.fail(f"unexpected trailing token {tokens[parser.index]!r}", parser.index)
-        return node
+        atoms = {name: self.atom(name) for name in names}
+        prefix, infix, constants, unary_prec = self.prefix, self.infix, self.constants, self.unary_prec
+        base, per_operator, per_paren = self.nesting
+        stack: list[tuple] = []
+        parens = 0
+        node = None  # the operand just read; None while one is expected
+        for index, token in enumerate(tokens):
+            if node is None:
+                opening = token == "("
+                if base + per_operator * (len(stack) - parens) + per_paren * (parens + opening) > MAX_NESTING:
+                    raise self._error(text, f"{self.noun} nests too deeply", index)
+                if opening:
+                    stack.append((None, 0, None))
+                    parens += 1
+                elif token in prefix:
+                    stack.append((prefix[token], unary_prec, None))
+                elif token in atoms:
+                    node = atoms[token]
+                elif token in constants:
+                    node = constants[token]
+                else:
+                    raise self._error(text, f"unexpected token {token!r}" if token else "unexpected end of input", index)
+                continue
+            cls, prec = infix.get(token, (None, 0))
+            # Operators associate to the right: reduce only those that bind
+            # more tightly; any other token reduces all up to a parenthesis.
+            while stack and stack[-1][1] > prec:
+                op, _, left = stack.pop()
+                node = op(node) if left is None else op(left, node)
+            if cls is not None:
+                stack.append((cls, prec, node))
+                node = None
+            elif token == ")" and stack:
+                stack.pop()
+                parens -= 1
+            elif stack:
+                raise self._error(text, "expected ')'", index)
+            elif token:
+                raise self._error(text, f"unexpected trailing token {token!r}", index)
+            else:
+                return node
+
+    def _error(self, text: str, message: str, index: int) -> Exception:
+        return self.error(message, [match.start(1) for match in self._scan(text)][index])
 
     def render(self, node) -> tuple[str, int]:
         """The node's text with the fewest parentheses that parse back, and
@@ -326,66 +368,6 @@ class Grammar:
         return built[-1]
 
 
-class _Parser:
-    """One pass over a grammar's tokens, the end of the text being "".
-    Chains of operators are read in loops, so the parser recurses only into
-    parentheses."""
-
-    def __init__(self, grammar: Grammar, text: str, tokens: list[str], atoms: dict):
-        self.grammar, self.text, self.tokens, self.atoms = grammar, text, tokens, atoms
-        self.index = 0
-
-    def fail(self, message: str, index: int) -> NoReturn:
-        offsets = [match.start(1) for match in self.grammar._scan(self.text)]
-        raise self.grammar.error(message, offsets[index])
-
-    def expression(self, parens: int, pending: int):
-        infix = self.grammar.infix
-        operands = [self.operand(parens, pending)]
-        ops: list[tuple[type, int]] = []
-        while True:
-            cls, prec = infix.get(self.tokens[self.index], (None, 0))
-            # Operators associate to the right: reduce only those that bind
-            # more tightly; the end of the chain reduces all.
-            while ops and ops[-1][1] > prec:
-                right = operands.pop()
-                operands[-1] = ops.pop()[0](operands[-1], right)
-            if cls is None:
-                return operands[0]
-            self.index += 1
-            ops.append((cls, prec))
-            operands.append(self.operand(parens, pending + len(ops)))
-
-    def operand(self, parens: int, pending: int):
-        grammar, tokens = self.grammar, self.tokens
-        base, per_operator, per_paren = grammar.nesting
-        unary = []
-        while True:
-            token = tokens[self.index]
-            opening = token == "("
-            if base + per_operator * (pending + len(unary)) + per_paren * (parens + opening) > MAX_NESTING:
-                self.fail(f"{grammar.noun} nests too deeply", self.index)
-            self.index += 1
-            cls = grammar.prefix.get(token)
-            if cls is None:
-                break
-            unary.append(cls)
-        if opening:
-            node = self.expression(parens + 1, pending + len(unary))
-            if tokens[self.index] != ")":
-                self.fail("expected ')'", self.index)
-            self.index += 1
-        elif token in grammar.constants:
-            node = grammar.constants[token]
-        elif token in self.atoms:
-            node = self.atoms[token]
-        else:
-            self.fail(f"unexpected token {token!r}" if token else "unexpected end of input", self.index - 1)
-        for cls in reversed(unary):
-            node = cls(node)
-        return node
-
-
 class ConditionSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
@@ -393,9 +375,11 @@ class ConditionSyntaxError(ValueError):
 
 
 # A condition is the propositional part of the formula grammar. Its nesting
-# rule charges what a recursive-descent parser spends in call depth: two to
-# start, one per pending operator and three per parenthesis, so 199 flat
-# terms load, and an atom inside 66 parentheses.
+# rule bounds the depth of the loaded tree, which `holds`, `==`, `hash` and
+# `repr` recurse over: two to start, one per pending operator and three per
+# parenthesis, so 199 flat terms load, and an atom inside 66 parentheses.
+# Parentheses add no depth to the tree; they keep the weight a recursive
+# parser once spent on them in call depth, so the same conditions load.
 CONDITIONS = Grammar(
     noun="condition",
     error=ConditionSyntaxError,

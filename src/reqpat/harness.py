@@ -78,11 +78,7 @@ def establish(sut: SutContract, cond: Condition, bound: int) -> Reached | NotRea
         raise ValueError("bound must be >= 0")
     if eval_condition(cond, sut.observations()):
         return Reached(0)
-    for k in range(1, bound + 1):
-        sut.tick()
-        if eval_condition(cond, sut.observations()):
-            return Reached(k)
-    return NotReached(bound)
+    return _tick_until(sut, cond, bound)
 
 
 def drive_verify_response(
@@ -100,8 +96,13 @@ def drive_verify_response(
         raise ValueError("bound must be >= 0")
     if not eval_condition(trigger, sut.observations()):
         return PreconditionViolation(P_HOLDS)
+    return _tick_until(sut, response, bound)
+
+
+def _tick_until(sut: SutContract, cond: Condition, bound: int) -> Reached | NotReached:
+    """Tick until the condition holds, at most `bound` ticks."""
     for k in range(1, bound + 1):
         sut.tick()
-        if eval_condition(response, sut.observations()):
+        if eval_condition(cond, sut.observations()):
             return Reached(k)
     return NotReached(bound)

@@ -98,11 +98,7 @@ class Suite:
     ):
         object.__setattr__(self, "conditions", dict(conditions))
         object.__setattr__(self, "requirements", tuple(requirements))
-        seen: set[str] = set()
-        for req in self.requirements:
-            if req.name in seen:
-                raise DuplicateDefinition(req.name)
-            seen.add(req.name)
+        _reject_duplicates(req.name for req in self.requirements)
 
     def names_by_condition(self) -> dict[Condition, str]:
         """Invert the condition map for display; first definition wins."""
@@ -112,14 +108,18 @@ class Suite:
         return out
 
 
+def _reject_duplicates(names: Iterable[str]) -> None:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateDefinition(name)
+        seen.add(name)
+
+
 def _check_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     out = dict(pairs)
     if len(out) < len(pairs):
-        seen: set[str] = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise DuplicateDefinition(key)
-            seen.add(key)
+        _reject_duplicates(key for key, _ in pairs)
     return out
 
 
@@ -287,12 +287,15 @@ def dump_suite(suite: Suite) -> str:
 def load_trace(text: str) -> Trace:
     """Parse a JSON-Lines trace; one array of atom names per line.
 
-    Each distinct line text is parsed once: a repeated line reuses the State
-    of its first occurrence, so identical lines share one object.
+    Lines end at "\n" only, as in JSON Lines, and a final "\n" ends the last
+    one; a "\r" before it is JSON whitespace, so CRLF files load too. Each
+    distinct line text is parsed once: a repeated line reuses the State of
+    its first occurrence, so identical lines share one object.
     """
     states = []
     parsed: dict[str, State] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.removesuffix("\n").split("\n") if text else []
+    for lineno, line in enumerate(lines, start=1):
         state = parsed.get(line)
         if state is not None:
             states.append(state)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from reqpat import ltl
 from reqpat.conditions import (
     CONDITIONS,
+    MAX_NESTING,
     And,
     ConditionSyntaxError,
     Const,
@@ -99,6 +101,58 @@ def test_parse_condition_errors_carry_position(text):
     with pytest.raises(ConditionSyntaxError) as exc_info:
         parse_condition(text)
     assert exc_info.value.position >= 0
+
+
+SYNTAX_ERRORS = [
+    ("p && )", "unexpected token ')'", 5),
+    ("()", "unexpected token ')'", 1),
+    ("p &&", "unexpected end of input", 4),
+    ("p && ", "unexpected end of input", 5),
+    ("", "unexpected end of input", 0),
+    ("(p", "expected ')'", 2),
+    ("(p q)", "expected ')'", 3),
+    ("p)", "unexpected trailing token ')'", 1),
+    ("(p) q", "unexpected trailing token 'q'", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "grammar,text,message,offset",
+    [(grammar, text, message, offset)
+     for grammar in (CONDITIONS, ltl.FORMULAS) for text, message, offset in SYNTAX_ERRORS]
+    + [(CONDITIONS, "!" * 199 + "a", "condition nests too deeply", 199),
+       (CONDITIONS, "(" * 67 + "a" + ")" * 67, "condition nests too deeply", 66),
+       (CONDITIONS, "!(" * 50 + "a" + ")" * 50, "condition nests too deeply", 99),
+       (ltl.FORMULAS, "(" * 201 + "a" + ")" * 201, "formula nests too deeply", 200),
+       (ltl.FORMULAS, "X (" * 201 + "a" + ")" * 201, "formula nests too deeply", 602)],
+)
+def test_each_syntax_error_names_its_token(grammar, text, message, offset):
+    with pytest.raises(grammar.error) as exc_info:
+        grammar.parse(text)
+    assert str(exc_info.value) == f"{message} (at offset {offset})"
+    assert exc_info.value.position == offset
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_parsing_does_not_recurse():
+    """Both grammars parse text at their nesting bound with about 40 stack
+    frames to spare."""
+    formula_text = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    condition_text = "!(" * 49 + "a" + ")" * 49
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 40)
+    try:
+        formula, condition = ltl.parse(formula_text), parse_condition(condition_text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert formula == ltl.Prop("a")
+    assert format_condition(condition) == "!" * 49 + "a"
 
 
 def test_format_parse_round_trip_random():

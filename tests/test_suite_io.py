@@ -259,6 +259,20 @@ def test_load_trace_empty_input():
     assert len(load_trace("")) == 0
 
 
+def test_load_trace_breaks_lines_at_newline_only():
+    """Other characters that `str.splitlines` breaks at stay inside a line,
+    as in JSON Lines, so this text is one line and not valid JSON."""
+    with pytest.raises(TraceFormatError) as exc_info:
+        load_trace('["p"]\u2028["q"]\x1c[]\n')
+    assert exc_info.value.line == 1
+    crlf = load_trace('["p"]\r\n[]\r\n["p","q"]\r\n')
+    assert [set(state.atoms) for state in crlf] == [{"p"}, set(), {"p", "q"}]
+    assert len(load_trace('["p"]\n[]')) == 2
+    with pytest.raises(TraceFormatError) as exc_info:
+        load_trace('["p"]\n\n')
+    assert exc_info.value.line == 2
+
+
 def test_load_trace_bad_atom_reports_line():
     with pytest.raises(TraceFormatError) as exc_info:
         load_trace('["9bad"]')
