@@ -106,11 +106,17 @@ class Trace:
     """A finite, possibly empty sequence of states, indexed from 0.
 
     `_carved` is `patterns.check`'s memo of the segments each scope carves
-    from this trace. It is no field, so equality, hash and repr ignore it,
-    and a copy or a pickle starts with an empty one.
+    from this trace. A trace made by `from_codes`, as `suite.load_trace`
+    makes every trace, also keeps its distinct states, `_distinct`, the
+    index of each position's state among them, `_codes`, and
+    `patterns.check`'s memo of each condition's truth column, `_columns`;
+    a trace built from states has `_codes` None. None of these is a field,
+    so equality, hash and repr ignore them, and a copy or a pickle starts
+    with an empty memo and without codes.
     """
 
     states: tuple[State, ...]
+    _codes = None
 
     def __init__(self, states: Iterable[State] = ()):
         # Frozen, so the instance dict is filled directly.
@@ -124,6 +130,17 @@ class Trace:
     @classmethod
     def of(cls, *atom_sets: Iterable[str]) -> "Trace":
         return cls(State(atoms) for atoms in atom_sets)
+
+    @classmethod
+    def from_codes(cls, distinct: Iterable[State], codes: Iterable[int]) -> "Trace":
+        """The trace holding `distinct[c]` for each code c, in order. It
+        keeps both, so that `patterns.check` reads each condition once per
+        distinct state; codes are bytes while there are at most 256 states."""
+        distinct = tuple(distinct)
+        codes = bytes(codes) if len(distinct) <= 256 else list(codes)
+        trace = cls([distinct[code] for code in codes])
+        trace.__dict__.update(_distinct=distinct, _codes=codes, _columns={})
+        return trace
 
     def __len__(self) -> int:
         return len(self.states)

@@ -42,29 +42,84 @@ _HOLDS = Holds(vacuous=False)
 _VACUOUS = Holds(vacuous=True)
 
 
-# Per-position loops index `trace.states` directly, not through
-# Trace.__getitem__, and evaluate every condition through eval_condition,
-# which rejects a non-condition with TypeError; bench/tracing.py counts these
-# calls per state.
-def _first_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
-    states = trace.states
-    for k in range(start, stop):
-        if eval_condition(cond, states[k]):
-            return k
-    return None
+# Scopes and patterns read conditions only through a scan's three primitives
+# over [lo, hi): the first position where a condition holds, the first where
+# it does not, and the last where it holds, each None when there is none.
+# `check` picks one scan per call from what the trace carries; `segments`
+# and `evaluate_pattern` always read lazily. Either way every condition is
+# read through eval_condition, which rejects a non-condition with TypeError;
+# bench/tracing.py counts these calls per state.
+class _Lazy:
+    """Reads position by position, up to the first answer: the scan of a
+    trace built from states, often short and checked once."""
+
+    def first(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
+        states = trace.states
+        for k in range(lo, hi):
+            if eval_condition(cond, states[k]):
+                return k
+        return None
+
+    def first_false(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
+        states = trace.states
+        for k in range(lo, hi):
+            if not eval_condition(cond, states[k]):
+                return k
+        return None
+
+    def last(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
+        states = trace.states
+        for k in range(hi - 1, lo - 1, -1):
+            if eval_condition(cond, states[k]):
+                return k
+        return None
 
 
-def _last_index(cond: Condition, trace: Trace, start: int, stop: int) -> int | None:
-    states = trace.states
-    for k in range(stop - 1, start - 1, -1):
-        if eval_condition(cond, states[k]):
-            return k
-    return None
+def _column(cond: Condition, trace: Trace) -> bytes:
+    """The condition's truth at every position of a trace made by
+    `Trace.from_codes`, one byte each: read once per distinct state and
+    spread over the codes in C. Memoized on the trace by the condition's
+    identity, so no condition is hashed; the entry keeps it alive."""
+    entry = trace._columns.get(id(cond))
+    if entry is None:
+        truth = bytes([eval_condition(cond, state) for state in trace._distinct])
+        codes = trace._codes
+        if type(codes) is bytes:
+            column = codes.translate(truth.ljust(256, b"\0"))
+        else:
+            column = bytes(map(truth.__getitem__, codes))
+        entry = trace._columns[id(cond)] = (cond, column)
+    return entry[1]
+
+
+class _Columns:
+    """Scans a condition's truth column with `bytes.find` and `rfind`: the
+    scan of a trace made by `Trace.from_codes`."""
+
+    def first(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
+        k = _column(cond, trace).find(1, lo, hi)
+        return None if k < 0 else k
+
+    def first_false(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
+        k = _column(cond, trace).find(0, lo, hi)
+        return None if k < 0 else k
+
+    def last(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
+        k = _column(cond, trace).rfind(1, lo, hi)
+        return None if k < 0 else k
+
+
+Scan = _Lazy | _Columns
+# One instance of each: on CPython 3.11 a method call on an instance costs
+# less than a static method called on its class, and the short checks of
+# built traces make a few scans each.
+_LAZY, _COLUMNS = _Lazy(), _Columns()
 
 
 class Scope:
     """Base class for scope variants. All variants are immutable values;
-    `segments(trace)` lists the half-open segments the variant governs."""
+    `segments(scan, trace)` lists the half-open segments the variant
+    governs, reading conditions through `scan`."""
 
     __slots__ = ()
 
@@ -73,7 +128,7 @@ class Scope:
 class Globally(Scope):
     phrase = "globally"
 
-    def segments(self, trace: Trace) -> list[Segment]:
+    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
         return [(0, len(trace))]
 
 
@@ -82,8 +137,8 @@ class Before(Scope):
     r: Condition
     phrase = "before {r}"
 
-    def segments(self, trace: Trace) -> list[Segment]:
-        idx = _first_index(self.r, trace, 0, len(trace))
+    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
+        idx = scan.first(self.r, trace, 0, len(trace))
         return [] if idx is None else [(0, idx)]
 
 
@@ -92,18 +147,18 @@ class After(Scope):
     q: Condition
     phrase = "after {q}"
 
-    def segments(self, trace: Trace) -> list[Segment]:
+    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
         n = len(trace)
-        idx = _first_index(self.q, trace, 0, n)
+        idx = scan.first(self.q, trace, 0, n)
         return [] if idx is None else [(idx, n)]
 
 
-def _windows(scope: Between | AfterUntil, trace: Trace, keep_open: bool) -> list[Segment]:
+def _windows(scope: Between | AfterUntil, scan: Scan, trace: Trace, keep_open: bool) -> list[Segment]:
     """From each q at or after the previous close to the next strictly later
     r; an unclosed trailing window runs to the end if `keep_open`."""
     n, out, cursor = len(trace), [], 0
-    while (q_idx := _first_index(scope.q, trace, cursor, n)) is not None:
-        r_idx = _first_index(scope.r, trace, q_idx + 1, n)
+    while (q_idx := scan.first(scope.q, trace, cursor, n)) is not None:
+        r_idx = scan.first(scope.r, trace, q_idx + 1, n)
         if r_idx is None:
             return out + [(q_idx, n)] if keep_open else out
         out.append((q_idx, r_idx))
@@ -117,8 +172,8 @@ class Between(Scope):
     r: Condition
     phrase = "between {q} and {r}"
 
-    def segments(self, trace: Trace) -> list[Segment]:
-        return _windows(self, trace, keep_open=False)
+    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
+        return _windows(self, scan, trace, keep_open=False)
 
 
 @dataclass(frozen=True)
@@ -127,13 +182,14 @@ class AfterUntil(Scope):
     r: Condition
     phrase = "after {q} until {r}"
 
-    def segments(self, trace: Trace) -> list[Segment]:
-        return _windows(self, trace, keep_open=True)
+    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
+        return _windows(self, scan, trace, keep_open=True)
 
 
 class Pattern:
-    """Base class for pattern variants. `evaluate(trace, lo, hi)` decides
-    the variant on the segment [lo, hi), reporting a failure in segment 0."""
+    """Base class for pattern variants. `evaluate(scan, trace, lo, hi)`
+    decides the variant on the segment [lo, hi), reading conditions through
+    `scan`, and reports a failure in segment 0."""
 
     __slots__ = ()
 
@@ -143,8 +199,8 @@ class Absence(Pattern):
     p: Condition
     phrase = "it is never the case that {p} holds"
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        k = _first_index(self.p, trace, lo, hi)
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        k = scan.first(self.p, trace, lo, hi)
         if k is not None:
             return Fails(0, k, "forbidden condition holds")
         return _VACUOUS if lo == hi else _HOLDS
@@ -155,11 +211,10 @@ class Universality(Pattern):
     p: Condition
     phrase = "it is always the case that {p} holds"
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        states = trace.states
-        for k in range(lo, hi):
-            if not eval_condition(self.p, states[k]):
-                return Fails(0, k, "required condition does not hold")
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        k = scan.first_false(self.p, trace, lo, hi)
+        if k is not None:
+            return Fails(0, k, "required condition does not hold")
         return _VACUOUS if lo == hi else _HOLDS
 
 
@@ -168,8 +223,8 @@ class Existence(Pattern):
     p: Condition
     phrase = "{p} eventually holds"
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        if _first_index(self.p, trace, lo, hi) is not None:
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        if scan.first(self.p, trace, lo, hi) is not None:
             return _HOLDS
         return Fails(0, max(lo, hi - 1), "no position satisfies the condition")
 
@@ -186,16 +241,15 @@ class BoundedExistence(Pattern):
         if self.k < 0:
             raise ValueError("'k' must be an integer >= 0")
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        states = trace.states
-        blocks, prev = 0, False
-        for k in range(lo, hi):
-            cur = eval_condition(self.p, states[k])
-            if cur and not prev:
-                blocks += 1
-                if blocks > self.k:
-                    return Fails(0, k, f"block {blocks} exceeds the bound of {self.k}")
-            prev = cur
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        blocks, cursor = 0, lo
+        while (start := scan.first(self.p, trace, cursor, hi)) is not None:
+            blocks += 1
+            if blocks > self.k:
+                return Fails(0, start, f"block {blocks} exceeds the bound of {self.k}")
+            cursor = scan.first_false(self.p, trace, start + 1, hi)
+            if cursor is None:
+                break
         return _VACUOUS if lo == hi else _HOLDS
 
 
@@ -207,22 +261,23 @@ class Precedence(Pattern):
     p: Condition
     phrase = "{s} precedes {p}"
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        first_s = _first_index(self.s, trace, lo, hi)
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        first_s = scan.first(self.s, trace, lo, hi)
         limit = hi if first_s is None else first_s
-        early = _first_index(self.p, trace, lo, limit)
+        early = scan.first(self.p, trace, lo, limit)
         if early is not None:
             return Fails(0, early, "condition occurs before its required precedent")
-        return _VACUOUS if _first_index(self.p, trace, limit, hi) is None else _HOLDS
+        return _VACUOUS if scan.first(self.p, trace, limit, hi) is None else _HOLDS
 
 
-def _first_unanswered(pattern: Response | ResponseChain, trace: Trace, lo: int, hi: int, reason: str) -> Verdict:
+def _first_unanswered(pattern: Response | ResponseChain, scan: Scan, trace: Trace, lo: int, hi: int,
+                      reason: str) -> Verdict:
     """Fails at the first trigger at or beyond the bound below which every
     trigger is answered; `_answered_below` finds it in one backward pass."""
-    first = _first_index(pattern.p, trace, lo, hi)
+    first = scan.first(pattern.p, trace, lo, hi)
     if first is None:
         return _VACUOUS
-    failing = _first_index(pattern.p, trace, pattern._answered_below(trace, first, hi), hi)
+    failing = scan.first(pattern.p, trace, pattern._answered_below(scan, trace, first, hi), hi)
     if failing is None:
         return _HOLDS
     return Fails(0, failing, reason)
@@ -237,11 +292,11 @@ class Response(Pattern):
     strict: bool = False
     phrase = "{s} responds to {p}{strict}"
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        return _first_unanswered(self, trace, lo, hi, "trigger is never answered within the segment")
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        return _first_unanswered(self, scan, trace, lo, hi, "trigger is never answered within the segment")
 
-    def _answered_below(self, trace: Trace, first: int, hi: int) -> int:
-        last = _last_index(self.s, trace, first, hi)
+    def _answered_below(self, scan: Scan, trace: Trace, first: int, hi: int) -> int:
+        last = scan.last(self.s, trace, first, hi)
         return first if last is None else last + (not self.strict)
 
 
@@ -262,13 +317,13 @@ class ResponseChain(Pattern):
     def __post_init__(self) -> None:
         _seal_chain(self)
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        return _first_unanswered(self, trace, lo, hi, "trigger is not followed by the full chain")
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        return _first_unanswered(self, scan, trace, lo, hi, "trigger is not followed by the full chain")
 
-    def _answered_below(self, trace: Trace, first: int, hi: int) -> int:
+    def _answered_below(self, scan: Scan, trace: Trace, first: int, hi: int) -> int:
         cursor = hi
         for link in reversed(self.chain):
-            cursor = _last_index(link, trace, first + 1, cursor)
+            cursor = scan.last(link, trace, first + 1, cursor)
             if cursor is None:
                 return first
         return cursor
@@ -285,13 +340,13 @@ class PrecedenceChain(Pattern):
     def __post_init__(self) -> None:
         _seal_chain(self)
 
-    def evaluate(self, trace: Trace, lo: int, hi: int) -> Verdict:
-        first_p = _first_index(self.p, trace, lo, hi)
+    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
+        first_p = scan.first(self.p, trace, lo, hi)
         if first_p is None:
             return _VACUOUS
         cursor = lo - 1
         for link in self.chain:
-            nxt = _first_index(link, trace, cursor + 1, first_p)
+            nxt = scan.first(link, trace, cursor + 1, first_p)
             if nxt is None:
                 return Fails(0, first_p, "condition is not preceded by the full chain")
             cursor = nxt
@@ -355,7 +410,7 @@ def segments(scope: Scope, trace: Trace) -> list[Segment]:
     """
     if not isinstance(scope, Scope):
         raise TypeError(f"not a scope: {scope!r}")
-    return scope.segments(trace)
+    return scope.segments(_LAZY, trace)
 
 
 def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdict:
@@ -377,7 +432,7 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
         raise ValueError(f"segment {segment!r} out of bounds for trace of length {len(trace)}")
     if not isinstance(pattern, Pattern):
         raise TypeError(f"not a pattern: {pattern!r}")
-    return pattern.evaluate(trace, lo, hi)
+    return pattern.evaluate(_LAZY, trace, lo, hi)
 
 
 def map_conditions(req: Requirement, fn) -> Requirement:
@@ -425,6 +480,13 @@ def check(req: Requirement, trace: Trace) -> Verdict:
     `load_suite` resolves each condition name to one shared object. Carved
     segments are in bounds by construction, so each is evaluated without
     `evaluate_pattern`'s per-segment checks.
+
+    How conditions are read follows from the trace. A trace from
+    `load_trace` carries its distinct states and one code per position, so
+    each condition is read once per distinct state into a truth column,
+    shared by every requirement checked on that trace, and scanned in C. A
+    trace built from states is read position by position, stopping at the
+    first answer, as `segments` and `evaluate_pattern` always read.
     """
     pattern, scope = req.pattern, req.scope
     if not isinstance(scope, Scope):
@@ -434,12 +496,13 @@ def check(req: Requirement, trace: Trace) -> Verdict:
     # Keyed by the identities of the scope's fields, so no condition tree is
     # hashed; the entry keeps the scope, and so every id in its key, alive.
     key = (type(scope), *map(id, vars(scope).values()))
+    scan = _LAZY if trace._codes is None else _COLUMNS
     carved = trace._carved.get(key)
     if carved is None:
-        carved = trace._carved[key] = (scope, scope.segments(trace))
+        carved = trace._carved[key] = (scope, scope.segments(scan, trace))
     vacuous = True
     for idx, (lo, hi) in enumerate(carved[1]):
-        verdict = pattern.evaluate(trace, lo, hi)
+        verdict = pattern.evaluate(scan, trace, lo, hi)
         if isinstance(verdict, Fails):
             return Fails(idx, verdict.position, verdict.reason)
         vacuous = vacuous and verdict.vacuous

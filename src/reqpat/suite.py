@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NoReturn
 
 from .conditions import (
     Condition,
@@ -284,36 +284,48 @@ def dump_suite(suite: Suite) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+_decode = json.JSONDecoder().decode
+
+
 def load_trace(text: str) -> Trace:
     """Parse a JSON-Lines trace; one array of atom names per line.
 
     Lines end at "\n" only, as in JSON Lines, and a final "\n" ends the last
     one; a "\r" before it is JSON whitespace, so CRLF files load too. Each
-    distinct line text is parsed once: a repeated line reuses the State of
-    its first occurrence, so identical lines share one object.
+    distinct line text is parsed once, in order of first occurrence, so the
+    earliest bad line is the one reported; identical lines share one State.
+    The trace keeps its distinct states and each line's index among them
+    (`Trace.from_codes`), so `patterns.check` reads a condition once per
+    distinct line.
     """
-    states = []
-    parsed: dict[str, State] = {}
     lines = text.removesuffix("\n").split("\n") if text else []
-    for lineno, line in enumerate(lines, start=1):
-        state = parsed.get(line)
-        if state is not None:
-            states.append(state)
-            continue
+    codes = dict.fromkeys(lines)
+    distinct = []
+    for code, line in enumerate(codes):
         try:
-            atoms = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(lineno, f"not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise TraceFormatError(lineno, "JSON nests too deeply") from None
-        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-            raise TraceFormatError(lineno, "each line must be an array of atom names")
-        for atom in atoms:
-            if not is_valid_atom(atom):
-                raise TraceFormatError(lineno, f"invalid atom name {atom!r}")
-        state = parsed[line] = State(atoms)
-        states.append(state)
-    return Trace(states)
+            atoms = _decode(line)
+        except (json.JSONDecodeError, RecursionError):
+            atoms = None
+        if type(atoms) is not list or not all(map(is_valid_atom, atoms)):
+            _refuse_line(lines.index(line) + 1, line)
+        codes[line] = code
+        distinct.append(State(atoms))
+    return Trace.from_codes(distinct, map(codes.__getitem__, lines))
+
+
+def _refuse_line(lineno: int, line: str) -> NoReturn:
+    """Raise the TraceFormatError of a line that does not load, working out
+    which diagnostic applies only on this error path."""
+    try:
+        atoms = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(lineno, f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TraceFormatError(lineno, "JSON nests too deeply") from None
+    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+        raise TraceFormatError(lineno, "each line must be an array of atom names")
+    atom = next(a for a in atoms if not is_valid_atom(a))
+    raise TraceFormatError(lineno, f"invalid atom name {atom!r}")
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode

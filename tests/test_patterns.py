@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from reqpat.conditions import And, Not, Ref, Trace, condition_atoms
+from reqpat import patterns
+from reqpat.conditions import And, Not, Ref, State, Trace, condition_atoms
 from reqpat.patterns import (
     PATTERNS,
     SCOPES,
@@ -33,7 +34,7 @@ from reqpat.patterns import (
     map_conditions,
     segments,
 )
-from reqpat.suite import load_suite
+from reqpat.suite import load_suite, load_trace, write_trace
 
 from helpers import (
     all_traces,
@@ -41,6 +42,7 @@ from helpers import (
     brute_response_chain_holds,
     random_condition,
     random_scope,
+    random_state,
     random_trace,
     reference_check,
 )
@@ -310,9 +312,9 @@ def test_check_carves_each_scope_once_per_trace(monkeypatch):
     carved = []
 
     def counting(method):
-        def counted(self, trace):
+        def counted(self, *args):
             carved.append(type(self))
-            return method(self, trace)
+            return method(self, *args)
 
         return counted
 
@@ -329,13 +331,17 @@ def test_check_carves_each_scope_once_per_trace(monkeypatch):
 
 
 def test_checking_leaves_the_trace_value_unchanged():
-    checked, unchecked = Trace.of({"q"}, {"p"}, {"r"}), Trace.of({"q"}, {"p"}, {"r"})
-    for scope in (Globally(), Before(R), After(Q), Between(Q, R), AfterUntil(Q, R)):
-        check(Requirement("x", Absence(P), scope), checked)
-    assert checked == unchecked
-    assert hash(checked) == hash(unchecked)
-    assert repr(checked) == repr(unchecked)
-    assert pickle.loads(pickle.dumps(checked)) == unchecked
+    unchecked = Trace.of({"q"}, {"p"}, {"r"}, {"p"})
+    built, loaded = Trace(unchecked.states), load_trace(write_trace(unchecked))
+    for checked in (built, loaded):
+        for scope in (Globally(), Before(R), After(Q), Between(Q, R), AfterUntil(Q, R)):
+            check(Requirement("x", Absence(P), scope), checked)
+        assert checked == unchecked
+        assert hash(checked) == hash(unchecked)
+        assert repr(checked) == repr(unchecked)
+        assert pickle.loads(pickle.dumps(checked)) == unchecked
+        assert copy.copy(checked) == copy.deepcopy(checked) == unchecked
+        assert repr(copy.copy(checked)) == repr(unchecked)
 
 
 def test_shared_carving_gives_the_verdicts_of_fresh_traces():
@@ -346,22 +352,92 @@ def test_shared_carving_gives_the_verdicts_of_fresh_traces():
     for _ in range(300):
         scopes = [random_scope(rng) for _ in range(rng.randint(1, 3))]
         conditions = [random_condition(rng, depth=1) for _ in range(3)]
-        reqs = []
-        for i in range(rng.randint(2, 10)):
-            p, s = rng.choice(conditions), rng.choice(conditions)
-            pattern = rng.choice([
-                Absence(p), Universality(p), Existence(p), BoundedExistence(p, rng.randint(0, 2)),
-                Precedence(s, p), Response(p, s, strict=rng.random() < 0.5),
-                ResponseChain(p, [s, p]), PrecedenceChain([s], p),
-            ])
-            scope = rng.choice(scopes)
-            # An equal scope built anew over the same conditions shares too.
-            reqs.append(Requirement(f"R{i}", pattern, type(scope)(**vars(scope))))
-        rng.shuffle(reqs)
+        reqs = _random_requirements(rng, scopes, conditions, rng.randint(2, 10))
         trace = random_trace(rng, max_len=12)
         for req in reqs:
             got, want = check(req, trace), check(req, Trace(trace.states))
             assert _same_verdict(got, want), (req, trace)
+
+
+def _random_requirements(rng: random.Random, scopes: list, conditions: list, count: int) -> list[Requirement]:
+    """`count` requirements in shuffled order over the given scopes and
+    conditions, every pattern drawn."""
+    reqs = []
+    for i in range(count):
+        p, s = rng.choice(conditions), rng.choice(conditions)
+        pattern = rng.choice([
+            Absence(p), Universality(p), Existence(p), BoundedExistence(p, rng.randint(0, 2)),
+            Precedence(s, p), Response(p, s, strict=rng.random() < 0.5),
+            ResponseChain(p, [s, p]), PrecedenceChain([s], p),
+        ])
+        scope = rng.choice(scopes)
+        # An equal scope built anew over the same conditions shares too.
+        reqs.append(Requirement(f"R{i}", pattern, type(scope)(**vars(scope))))
+    rng.shuffle(reqs)
+    return reqs
+
+
+@pytest.mark.parametrize("pool_size, runs, max_len", [(6, 300, 40), (300, 8, 1200)])
+def test_loaded_traces_give_the_verdicts_of_built_traces(pool_size, runs, max_len):
+    """A loaded trace is checked through truth columns over its distinct
+    lines, a built one position by position; both give every verdict
+    (segment, position, reason, vacuity) alike. The lines repeat, from a
+    pool of a few states or of more than 256, and `segments` and
+    `evaluate_pattern` read the loaded trace first."""
+    rng = random.Random(20261019 + pool_size)
+    # A filler atom no condition reads keeps every line of the pool distinct.
+    pool = [State(random_state(rng).atoms | {f"x{i}"}) for i in range(pool_size)]
+    distinct_seen = 0
+    for _ in range(runs):
+        scopes = [random_scope(rng) for _ in range(rng.randint(1, 3))]
+        conditions = [random_condition(rng, depth=2) for _ in range(4)]
+        reqs = _random_requirements(rng, scopes, conditions, rng.randint(2, 12))
+        built = Trace(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
+        loaded = load_trace(write_trace(built))
+        assert loaded == built
+        distinct_seen = max(distinct_seen, len({id(state) for state in loaded.states}))
+        for req in reqs[:2]:
+            for segment in segments(req.scope, loaded):
+                evaluate_pattern(req.pattern, loaded, segment)
+        for req in reqs:
+            got, want = check(req, loaded), check(req, Trace(built.states))
+            assert _same_verdict(got, want), (req, built)
+    assert distinct_seen > 256 if pool_size > 256 else distinct_seen == pool_size
+
+
+def test_check_reads_each_condition_once_per_distinct_line_of_a_loaded_trace(monkeypatch):
+    """The benchmark counts condition reads by patching
+    `patterns.eval_condition` while it checks every requirement, on a trace
+    that `segments` and `evaluate_pattern` have already read. On a loaded
+    trace, `check` reads through that name, at most once per condition and
+    distinct line."""
+    suite = load_suite(json.dumps({
+        "conditions": {"p": "p", "s": "s || t", "q": "q && !p", "r": "r"},
+        "requirements": [
+            {"name": f"R{i}", "pattern": pattern, "scope": scope}
+            for i, (pattern, scope) in enumerate(itertools.product(PATTERN_ENTRIES, SCOPE_ENTRIES))
+        ],
+    }))
+    lines = ['["q"]', '["p"]', '["s"]', '["r"]', '["q","t"]', "[]"]
+    rng = random.Random(7)
+    text = "".join(rng.choice(lines) + "\n" for _ in range(2000))
+    trace = load_trace(text)
+    for req in suite.requirements:
+        for segment in segments(req.scope, trace):
+            evaluate_pattern(req.pattern, trace, segment)
+    calls = 0
+    inner = patterns.eval_condition
+
+    def counting(expr, state):
+        nonlocal calls
+        calls += 1
+        return inner(expr, state)
+
+    monkeypatch.setattr(patterns, "eval_condition", counting)
+    verdicts = [check(req, trace) for req in suite.requirements]
+    assert 0 < calls <= len(lines) * len(suite.conditions)
+    monkeypatch.undo()
+    assert verdicts == [check(req, Trace(trace.states)) for req in suite.requirements]
 
 
 def test_check_carves_a_scope_too_deep_to_hash():

@@ -306,6 +306,30 @@ def test_load_trace_repeated_malformed_line_reports_first_line():
     assert str(exc_info.value) == "line 4: invalid atom name '9bad'"
 
 
+def test_load_trace_names_a_line_with_a_non_name_before_its_invalid_atoms():
+    """Which diagnostic a bad line gets is worked out only once the line is
+    refused; the order of the checks is unchanged, and a line that is not
+    JSON gets `json.loads`'s message, a byte order mark included."""
+
+    def json_error(line: str) -> str:
+        with pytest.raises(json.JSONDecodeError) as exc_info:
+            json.loads(line)
+        return f"not valid JSON: {exc_info.value}"
+
+    cases = [
+        ('[1, "9bad"]', "each line must be an array of atom names"),
+        ('["p", "9bad", 1]', "each line must be an array of atom names"),
+        ('["p", "9bad", "Q"]', "invalid atom name '9bad'"),
+        ('"p"', "each line must be an array of atom names"),
+        ("\ufeff[]", json_error("\ufeff[]")),
+        ("[", json_error("[")),
+    ]
+    for line, message in cases:
+        with pytest.raises(TraceFormatError) as exc_info:
+            load_trace(f'["p"]\n{line}\n["p"]\n{line}\n')
+        assert str(exc_info.value) == f"line 2: {message}"
+
+
 def test_write_trace_sorts_atoms():
     assert write_trace(Trace.of({"s", "p"})) == '["p","s"]\n'
     assert write_trace(Trace.of()) == ""
