@@ -134,8 +134,8 @@ class Trace:
     @classmethod
     def from_codes(cls, distinct: Iterable[State], codes: Iterable[int]) -> "Trace":
         """The trace holding `distinct[c]` for each code c, in order. It
-        keeps both, so that `patterns.check` reads each condition once per
-        distinct state; codes are bytes while there are at most 256 states."""
+        keeps both, so that `patterns.check` can read each condition once
+        per distinct state; codes are bytes while there are at most 256."""
         distinct = tuple(distinct)
         codes = bytes(codes) if len(distinct) <= 256 else list(codes)
         trace = cls([distinct[code] for code in codes])

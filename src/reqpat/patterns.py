@@ -8,7 +8,7 @@ because a suite that only holds vacuously usually signals missing
 requirements rather than a verified system.
 
 Every catalogue entry is one class: a scope carves its own segments, a
-pattern decides a segment itself, and each carries its paraphrase template
+pattern decides all of them itself, and each carries its paraphrase template
 `phrase` as a class attribute, which is not a field.
 """
 
@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import lt
 
 from .conditions import Condition, Trace, eval_condition
 
@@ -42,84 +44,77 @@ _HOLDS = Holds(vacuous=False)
 _VACUOUS = Holds(vacuous=True)
 
 
-# Scopes and patterns read conditions only through a scan's three primitives
-# over [lo, hi): the first position where a condition holds, the first where
-# it does not, and the last where it holds, each None when there is none.
-# `check` picks one scan per call from what the trace carries; `segments`
-# and `evaluate_pattern` always read lazily. Either way every condition is
-# read through eval_condition, which rejects a non-condition with TypeError;
-# bench/tracing.py counts these calls per state.
+# Scopes and patterns read conditions only through a scan. `scan.read(c)`
+# resolves a condition once per requirement, before any loop, into x; then
+# `scan.find(x, truth, lo, hi)` is the first position in [lo, hi) where c's
+# truth is `truth`, 1 or 0, and `scan.rfind(x, 1, lo, hi)` the last where c
+# holds, each -1 if none, as `bytes.find` and `rfind` answer. `check` picks
+# the scan from the trace; `segments` and `evaluate_pattern` always read
+# lazily. Either way every condition is read through eval_condition, which
+# rejects a non-condition with TypeError; bench/tracing.py counts its calls.
 class _Lazy:
     """Reads position by position, up to the first answer: the scan of a
-    trace built from states, often short and checked once."""
+    trace built from states, often short and checked once, and of loaded
+    lines that seldom repeat."""
 
-    def first(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
-        states = trace.states
-        for k in range(lo, hi):
-            if eval_condition(cond, states[k]):
-                return k
-        return None
+    __slots__ = ("states",)
 
-    def first_false(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
-        states = trace.states
-        for k in range(lo, hi):
-            if not eval_condition(cond, states[k]):
-                return k
-        return None
+    def __init__(self, trace: Trace):
+        self.states = trace.states
 
-    def last(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
-        states = trace.states
-        for k in range(hi - 1, lo - 1, -1):
-            if eval_condition(cond, states[k]):
-                return k
-        return None
+    def read(self, cond: Condition) -> Condition:
+        return cond
 
-
-def _column(cond: Condition, trace: Trace) -> bytes:
-    """The condition's truth at every position of a trace made by
-    `Trace.from_codes`, one byte each: read once per distinct state and
-    spread over the codes in C. Memoized on the trace by the condition's
-    identity, so no condition is hashed; the entry keeps it alive."""
-    entry = trace._columns.get(id(cond))
-    if entry is None:
-        truth = bytes([eval_condition(cond, state) for state in trace._distinct])
-        codes = trace._codes
-        if type(codes) is bytes:
-            column = codes.translate(truth.ljust(256, b"\0"))
+    def find(self, cond: Condition, truth: int, lo: int, hi: int) -> int:
+        states = self.states
+        if truth:
+            for k in range(lo, hi):
+                if eval_condition(cond, states[k]):
+                    return k
         else:
-            column = bytes(map(truth.__getitem__, codes))
-        entry = trace._columns[id(cond)] = (cond, column)
-    return entry[1]
+            for k in range(lo, hi):
+                if not eval_condition(cond, states[k]):
+                    return k
+        return -1
+
+    def rfind(self, cond: Condition, truth: int, lo: int, hi: int) -> int:
+        states = self.states
+        for k in range(hi - 1, lo - 1, -1):
+            if eval_condition(cond, states[k]) == truth:
+                return k
+        return -1
 
 
 class _Columns:
-    """Scans a condition's truth column with `bytes.find` and `rfind`: the
-    scan of a trace made by `Trace.from_codes`."""
+    """Reads a condition once per distinct state of a trace made by
+    `Trace.from_codes` into its truth column, one byte per position, spread
+    over the codes in C, and scans the column with `bytes.find` and `rfind`.
+    Columns are memoized on the trace by the condition's identity, so no
+    condition is hashed; the entry keeps it alive."""
 
-    def first(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
-        k = _column(cond, trace).find(1, lo, hi)
-        return None if k < 0 else k
+    __slots__ = ("trace",)
+    find, rfind = staticmethod(bytes.find), staticmethod(bytes.rfind)
 
-    def first_false(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
-        k = _column(cond, trace).find(0, lo, hi)
-        return None if k < 0 else k
+    def __init__(self, trace: Trace):
+        self.trace = trace
 
-    def last(self, cond: Condition, trace: Trace, lo: int, hi: int) -> int | None:
-        k = _column(cond, trace).rfind(1, lo, hi)
-        return None if k < 0 else k
+    def read(self, cond: Condition) -> bytes:
+        trace = self.trace
+        entry = trace._columns.get(id(cond))
+        if entry is None:
+            truth, codes = bytes([eval_condition(cond, state) for state in trace._distinct]), trace._codes
+            column = codes.translate(truth.ljust(256)) if type(codes) is bytes else bytes(map(truth.__getitem__, codes))
+            entry = trace._columns[id(cond)] = (cond, column)
+        return entry[1]
 
 
 Scan = _Lazy | _Columns
-# One instance of each: on CPython 3.11 a method call on an instance costs
-# less than a static method called on its class, and the short checks of
-# built traces make a few scans each.
-_LAZY, _COLUMNS = _Lazy(), _Columns()
 
 
 class Scope:
     """Base class for scope variants. All variants are immutable values;
-    `segments(scan, trace)` lists the half-open segments the variant
-    governs, reading conditions through `scan`."""
+    `segments(scan, n)` lists the half-open segments the variant governs in
+    a trace of length n, reading conditions through `scan`."""
 
     __slots__ = ()
 
@@ -128,8 +123,8 @@ class Scope:
 class Globally(Scope):
     phrase = "globally"
 
-    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
-        return [(0, len(trace))]
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        return [(0, n)]
 
 
 @dataclass(frozen=True)
@@ -137,9 +132,9 @@ class Before(Scope):
     r: Condition
     phrase = "before {r}"
 
-    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
-        idx = scan.first(self.r, trace, 0, len(trace))
-        return [] if idx is None else [(0, idx)]
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        idx = scan.find(scan.read(self.r), 1, 0, n)
+        return [] if idx < 0 else [(0, idx)]
 
 
 @dataclass(frozen=True)
@@ -147,22 +142,19 @@ class After(Scope):
     q: Condition
     phrase = "after {q}"
 
-    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
-        n = len(trace)
-        idx = scan.first(self.q, trace, 0, n)
-        return [] if idx is None else [(idx, n)]
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        idx = scan.find(scan.read(self.q), 1, 0, n)
+        return [] if idx < 0 else [(idx, n)]
 
 
-def _windows(scope: Between | AfterUntil, scan: Scan, trace: Trace, keep_open: bool) -> list[Segment]:
+def _windows(scope: Between | AfterUntil, scan: Scan, n: int, keep_open: bool) -> list[Segment]:
     """From each q at or after the previous close to the next strictly later
     r; an unclosed trailing window runs to the end if `keep_open`."""
-    n, out, cursor = len(trace), [], 0
-    while (q_idx := scan.first(scope.q, trace, cursor, n)) is not None:
-        r_idx = scan.first(scope.r, trace, q_idx + 1, n)
-        if r_idx is None:
+    find, q, r, out, cursor = scan.find, scan.read(scope.q), scan.read(scope.r), [], 0
+    while (q_idx := find(q, 1, cursor, n)) >= 0:
+        if (cursor := find(r, 1, q_idx + 1, n)) < 0:
             return out + [(q_idx, n)] if keep_open else out
-        out.append((q_idx, r_idx))
-        cursor = r_idx
+        out.append((q_idx, cursor))
     return out
 
 
@@ -172,8 +164,8 @@ class Between(Scope):
     r: Condition
     phrase = "between {q} and {r}"
 
-    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
-        return _windows(self, scan, trace, keep_open=False)
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        return _windows(self, scan, n, keep_open=False)
 
 
 @dataclass(frozen=True)
@@ -182,14 +174,25 @@ class AfterUntil(Scope):
     r: Condition
     phrase = "after {q} until {r}"
 
-    def segments(self, scan: Scan, trace: Trace) -> list[Segment]:
-        return _windows(self, scan, trace, keep_open=True)
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        return _windows(self, scan, n, keep_open=True)
+
+
+def _nowhere(scan: Scan, cond: Condition, truth: int, carved: list[Segment], reason: str) -> Verdict:
+    """Fails at the first position of a segment where the condition's truth
+    is `truth`; otherwise holds, vacuously iff every segment is empty."""
+    find, x = scan.find, scan.read(cond)
+    for idx, (lo, hi) in enumerate(carved):
+        if (k := find(x, truth, lo, hi)) >= 0:
+            return Fails(idx, k, reason)
+    return _HOLDS if any(starmap(lt, carved)) else _VACUOUS
 
 
 class Pattern:
-    """Base class for pattern variants. `evaluate(scan, trace, lo, hi)`
-    decides the variant on the segment [lo, hi), reading conditions through
-    `scan`, and reports a failure in segment 0."""
+    """Base class for pattern variants. `evaluate(scan, carved)` decides the
+    variant on every segment of `carved` in order, reading conditions
+    through `scan`, and returns the first failure with its segment index,
+    or Holds; see `evaluate_pattern` for each variant's rules."""
 
     __slots__ = ()
 
@@ -199,11 +202,8 @@ class Absence(Pattern):
     p: Condition
     phrase = "it is never the case that {p} holds"
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        k = scan.first(self.p, trace, lo, hi)
-        if k is not None:
-            return Fails(0, k, "forbidden condition holds")
-        return _VACUOUS if lo == hi else _HOLDS
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        return _nowhere(scan, self.p, 1, carved, "forbidden condition holds")
 
 
 @dataclass(frozen=True)
@@ -211,11 +211,8 @@ class Universality(Pattern):
     p: Condition
     phrase = "it is always the case that {p} holds"
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        k = scan.first_false(self.p, trace, lo, hi)
-        if k is not None:
-            return Fails(0, k, "required condition does not hold")
-        return _VACUOUS if lo == hi else _HOLDS
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        return _nowhere(scan, self.p, 0, carved, "required condition does not hold")
 
 
 @dataclass(frozen=True)
@@ -223,16 +220,16 @@ class Existence(Pattern):
     p: Condition
     phrase = "{p} eventually holds"
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        if scan.first(self.p, trace, lo, hi) is not None:
-            return _HOLDS
-        return Fails(0, max(lo, hi - 1), "no position satisfies the condition")
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        find, p = scan.find, scan.read(self.p)
+        for idx, (lo, hi) in enumerate(carved):
+            if find(p, 1, lo, hi) < 0:
+                return Fails(idx, max(lo, hi - 1), "no position satisfies the condition")
+        return _HOLDS if carved else _VACUOUS
 
 
 @dataclass(frozen=True)
 class BoundedExistence(Pattern):
-    """At most `k` maximal blocks of consecutive p-positions per segment."""
-
     p: Condition
     k: int
     phrase = "{p} holds in at most {k} episodes"
@@ -241,63 +238,55 @@ class BoundedExistence(Pattern):
         if self.k < 0:
             raise ValueError("'k' must be an integer >= 0")
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        blocks, cursor = 0, lo
-        while (start := scan.first(self.p, trace, cursor, hi)) is not None:
-            blocks += 1
-            if blocks > self.k:
-                return Fails(0, start, f"block {blocks} exceeds the bound of {self.k}")
-            cursor = scan.first_false(self.p, trace, start + 1, hi)
-            if cursor is None:
-                break
-        return _VACUOUS if lo == hi else _HOLDS
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        find, p, bound = scan.find, scan.read(self.p), self.k
+        for idx, (lo, hi) in enumerate(carved):
+            blocks, cursor = 0, lo
+            while (start := find(p, 1, cursor, hi)) >= 0:
+                blocks += 1
+                if blocks > bound:
+                    return Fails(idx, start, f"block {blocks} exceeds the bound of {bound}")
+                if (cursor := find(p, 0, start + 1, hi)) < 0:
+                    break
+        return _HOLDS if any(starmap(lt, carved)) else _VACUOUS
 
 
 @dataclass(frozen=True)
 class Precedence(Pattern):
-    """No p strictly before the first s; without any s, p may not occur."""
-
     s: Condition
     p: Condition
     phrase = "{s} precedes {p}"
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        first_s = scan.first(self.s, trace, lo, hi)
-        limit = hi if first_s is None else first_s
-        early = scan.first(self.p, trace, lo, limit)
-        if early is not None:
-            return Fails(0, early, "condition occurs before its required precedent")
-        return _VACUOUS if scan.first(self.p, trace, limit, hi) is None else _HOLDS
-
-
-def _first_unanswered(pattern: Response | ResponseChain, scan: Scan, trace: Trace, lo: int, hi: int,
-                      reason: str) -> Verdict:
-    """Fails at the first trigger at or beyond the bound below which every
-    trigger is answered; `_answered_below` finds it in one backward pass."""
-    first = scan.first(pattern.p, trace, lo, hi)
-    if first is None:
-        return _VACUOUS
-    failing = scan.first(pattern.p, trace, pattern._answered_below(scan, trace, first, hi), hi)
-    if failing is None:
-        return _HOLDS
-    return Fails(0, failing, reason)
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        find, s, p, vacuous = scan.find, scan.read(self.s), scan.read(self.p), True
+        for idx, (lo, hi) in enumerate(carved):
+            if (first_p := find(p, 1, lo, hi)) < 0:
+                continue
+            if find(s, 1, lo, first_p + 1) < 0:
+                return Fails(idx, first_p, "condition occurs before its required precedent")
+            vacuous = False
+        return _VACUOUS if vacuous else _HOLDS
 
 
 @dataclass(frozen=True)
 class Response(Pattern):
-    """Every p is answered by a later s; reflexive unless strict."""
-
     p: Condition
     s: Condition
     strict: bool = False
     phrase = "{s} responds to {p}{strict}"
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        return _first_unanswered(self, scan, trace, lo, hi, "trigger is never answered within the segment")
-
-    def _answered_below(self, scan: Scan, trace: Trace, first: int, hi: int) -> int:
-        last = scan.last(self.s, trace, first, hi)
-        return first if last is None else last + (not self.strict)
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        find, rfind = scan.find, scan.rfind
+        p, s, past, vacuous = scan.read(self.p), scan.read(self.s), not self.strict, True
+        for idx, (lo, hi) in enumerate(carved):
+            if (first := find(p, 1, lo, hi)) < 0:
+                continue
+            # Every trigger below the bound is answered by the last s.
+            last = rfind(s, 1, first, hi)
+            if (failing := find(p, 1, first if last < 0 else last + past, hi)) >= 0:
+                return Fails(idx, failing, "trigger is never answered within the segment")
+            vacuous = False
+        return _VACUOUS if vacuous else _HOLDS
 
 
 def _seal_chain(pattern: ResponseChain | PrecedenceChain) -> None:
@@ -308,8 +297,6 @@ def _seal_chain(pattern: ResponseChain | PrecedenceChain) -> None:
 
 @dataclass(frozen=True)
 class ResponseChain(Pattern):
-    """Every p is followed, in order and strictly after it, by the chain."""
-
     p: Condition
     chain: tuple[Condition, ...]
     phrase = "{chain} respond in order to {p}"
@@ -317,22 +304,27 @@ class ResponseChain(Pattern):
     def __post_init__(self) -> None:
         _seal_chain(self)
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        return _first_unanswered(self, scan, trace, lo, hi, "trigger is not followed by the full chain")
-
-    def _answered_below(self, scan: Scan, trace: Trace, first: int, hi: int) -> int:
-        cursor = hi
-        for link in reversed(self.chain):
-            cursor = scan.last(link, trace, first + 1, cursor)
-            if cursor is None:
-                return first
-        return cursor
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        find, rfind = scan.find, scan.rfind
+        p, links, vacuous = scan.read(self.p), [*map(scan.read, reversed(self.chain))], True
+        for idx, (lo, hi) in enumerate(carved):
+            if (first := find(p, 1, lo, hi)) < 0:
+                continue
+            # Every trigger below the bound is followed by the chain, each
+            # link placed as late as possible.
+            bound = hi
+            for link in links:
+                if (bound := rfind(link, 1, first + 1, bound)) < 0:
+                    bound = first
+                    break
+            if (failing := find(p, 1, bound, hi)) >= 0:
+                return Fails(idx, failing, "trigger is not followed by the full chain")
+            vacuous = False
+        return _VACUOUS if vacuous else _HOLDS
 
 
 @dataclass(frozen=True)
 class PrecedenceChain(Pattern):
-    """The first p, if any, is preceded, in order, by the chain."""
-
     chain: tuple[Condition, ...]
     p: Condition
     phrase = "{chain} precede in order {p}"
@@ -340,17 +332,17 @@ class PrecedenceChain(Pattern):
     def __post_init__(self) -> None:
         _seal_chain(self)
 
-    def evaluate(self, scan: Scan, trace: Trace, lo: int, hi: int) -> Verdict:
-        first_p = scan.first(self.p, trace, lo, hi)
-        if first_p is None:
-            return _VACUOUS
-        cursor = lo - 1
-        for link in self.chain:
-            nxt = scan.first(link, trace, cursor + 1, first_p)
-            if nxt is None:
-                return Fails(0, first_p, "condition is not preceded by the full chain")
-            cursor = nxt
-        return _HOLDS
+    def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
+        find, p, links, vacuous = scan.find, scan.read(self.p), [*map(scan.read, self.chain)], True
+        for idx, (lo, hi) in enumerate(carved):
+            if (first_p := find(p, 1, lo, hi)) < 0:
+                continue
+            cursor = lo - 1
+            for link in links:
+                if (cursor := find(link, 1, cursor + 1, first_p)) < 0:
+                    return Fails(idx, first_p, "condition is not preceded by the full chain")
+            vacuous = False
+        return _VACUOUS if vacuous else _HOLDS
 
 
 # The catalogue: every pattern and scope variant under its JSON tag. A
@@ -410,17 +402,25 @@ def segments(scope: Scope, trace: Trace) -> list[Segment]:
     """
     if not isinstance(scope, Scope):
         raise TypeError(f"not a scope: {scope!r}")
-    return scope.segments(_LAZY, trace)
+    return scope.segments(_Lazy(trace), len(trace))
 
 
 def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdict:
-    """Evaluate one pattern on one segment.
+    """Evaluate one pattern on one segment [lo, hi): the pattern's `evaluate`
+    on that one segment, so a failure is in segment 0.
 
-    A Holds verdict is vacuous when the pattern's trigger never occurred in
-    the segment: the trigger is p for Response, ResponseChain, Precedence and
-    PrecedenceChain; Absence, Universality and BoundedExistence are vacuous
-    exactly on empty segments; Existence is never vacuous (and fails on an
-    empty segment, which offers no witness position).
+    Where each pattern fails, and when it holds vacuously:
+
+    | pattern | fails at | vacuous when |
+    | --- | --- | --- |
+    | Absence | the first p | the segment is empty |
+    | Universality | the first position without p | the segment is empty |
+    | Existence | max(lo, hi - 1), when no p | never |
+    | BoundedExistence | the start of block k + 1 of consecutive p | the segment is empty |
+    | Precedence | the first p, when no s is at or before it | no p |
+    | Response | the first p with no s at or after it (after it if strict) | no p |
+    | ResponseChain | the first p not followed, strictly after it, by the chain in order | no p |
+    | PrecedenceChain | the first p, when the chain does not occur in order before it | no p |
 
     Every pattern is decided in time linear in the segment length. For
     Response and ResponseChain, one backward pass places the answer (each
@@ -432,7 +432,7 @@ def evaluate_pattern(pattern: Pattern, trace: Trace, segment: Segment) -> Verdic
         raise ValueError(f"segment {segment!r} out of bounds for trace of length {len(trace)}")
     if not isinstance(pattern, Pattern):
         raise TypeError(f"not a pattern: {pattern!r}")
-    return pattern.evaluate(_LAZY, trace, lo, hi)
+    return pattern.evaluate(_Lazy(trace), [(lo, hi)])
 
 
 def map_conditions(req: Requirement, fn) -> Requirement:
@@ -468,42 +468,34 @@ def mapped_fields(variant: Pattern | Scope, fn) -> dict[str, object]:
 
 
 def check(req: Requirement, trace: Trace) -> Verdict:
-    """Check a requirement over a whole trace.
+    """Check a requirement over a whole trace: the first failing segment's
+    verdict, with its segment index; otherwise Holds, vacuously iff there
+    were no segments or every segment held vacuously.
 
-    Returns the first failing segment's verdict, rewritten with its segment
-    index; otherwise Holds, vacuously iff there were no segments or every
-    segment held vacuously.
+    The pattern and scope are validated once per call, and the pattern
+    decides every segment in one call, without `evaluate_pattern`'s checks,
+    since carved segments lie inside the trace. Each scope is carved once
+    per trace: requirements checked on one Trace object share the segments
+    of an equal scope over the same condition objects, and `load_suite`
+    gives each condition name one shared object.
 
-    The pattern and scope are validated once per call. Each scope is carved
-    once per trace: requirements checked on the same Trace object share the
-    segments of an equal scope over the same condition objects, and
-    `load_suite` resolves each condition name to one shared object. Carved
-    segments are in bounds by construction, so each is evaluated without
-    `evaluate_pattern`'s per-segment checks.
-
-    How conditions are read follows from the trace. A trace from
-    `load_trace` carries its distinct states and one code per position, so
-    each condition is read once per distinct state into a truth column,
-    shared by every requirement checked on that trace, and scanned in C. A
-    trace built from states is read position by position, stopping at the
-    first answer, as `segments` and `evaluate_pattern` always read.
+    A trace from `load_trace` whose lines repeat, at most half of them
+    distinct, is read through truth columns: one read per condition and
+    distinct line, shared by every requirement checked on it. Any other
+    trace is read position by position, as `segments` and
+    `evaluate_pattern` always read.
     """
     pattern, scope = req.pattern, req.scope
     if not isinstance(scope, Scope):
         raise TypeError(f"not a scope: {scope!r}")
     if not isinstance(pattern, Pattern):
         raise TypeError(f"not a pattern: {pattern!r}")
+    codes = trace._codes
+    scan = _Lazy(trace) if codes is None or 2 * len(trace._distinct) > len(codes) else _Columns(trace)
     # Keyed by the identities of the scope's fields, so no condition tree is
     # hashed; the entry keeps the scope, and so every id in its key, alive.
     key = (type(scope), *map(id, vars(scope).values()))
-    scan = _LAZY if trace._codes is None else _COLUMNS
     carved = trace._carved.get(key)
     if carved is None:
-        carved = trace._carved[key] = (scope, scope.segments(scan, trace))
-    vacuous = True
-    for idx, (lo, hi) in enumerate(carved[1]):
-        verdict = pattern.evaluate(scan, trace, lo, hi)
-        if isinstance(verdict, Fails):
-            return Fails(idx, verdict.position, verdict.reason)
-        vacuous = vacuous and verdict.vacuous
-    return _VACUOUS if vacuous else _HOLDS
+        carved = trace._carved[key] = (scope, scope.segments(scan, len(trace)))
+    return pattern.evaluate(scan, carved[1]) if carved[1] else _VACUOUS

@@ -19,7 +19,8 @@ Suite files are JSON with two top-level keys:
 
 A name may be defined only once: a duplicate condition or requirement name is
 the file-level contradiction signal and is always rejected. No condition
-name, requirement name or ``meta`` string may contain a line break.
+name, requirement name or ``meta`` string may contain a line break or a lone
+surrogate, and no integer may have more digits than ``int`` converts.
 
 Trace files are JSON Lines: one array of atom names per line, one line per
 state, atoms sorted on output. Atoms absent from a line are false. Identical
@@ -123,20 +124,26 @@ def _check_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
-def _breaks_line(text: str) -> bool:
-    """True when `str.splitlines` would split the text. Names and links are
-    printed inside one line of output, so none may hold a line break."""
-    return "".join(text.splitlines()) != text
+def _unprintable(text: str) -> str:
+    """Why the text cannot be printed inside one line of UTF-8 output, as
+    names and links are, or "" when it can."""
+    if "".join(text.splitlines()) != text:
+        return "must not contain a line break"
+    if not text.isascii() and any("\ud800" <= char <= "\udfff" for char in text):
+        return "must not contain a lone surrogate"
+    return ""
 
 
 def load_suite(text: str) -> Suite:
     """Parse and validate a suite file; every defect raises a SuiteError."""
     try:
         data = json.loads(text, object_pairs_hook=_check_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise MalformedSuite(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise MalformedSuite("JSON nests too deeply") from None
+    except SuiteError:
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for `int`
+        raise MalformedSuite(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedSuite("top level must be a JSON object")
 
@@ -145,8 +152,8 @@ def load_suite(text: str) -> Suite:
         raise MalformedSuite("'conditions' must be an object")
     conditions: dict[str, Condition] = {}
     for name, body in raw_conditions.items():
-        if _breaks_line(name):
-            raise MalformedCondition(name, "name must not contain a line break")
+        if flaw := _unprintable(name):
+            raise MalformedCondition(name, f"name {flaw}")
         if not isinstance(body, str):
             raise MalformedCondition(name, "body must be a string")
         try:
@@ -166,8 +173,8 @@ def load_suite(text: str) -> Suite:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise MalformedSuite(f"{location}: missing or empty 'name'")
-        if _breaks_line(name):
-            raise MalformedSuite(f"{location}.name: must not contain a line break")
+        if flaw := _unprintable(name):
+            raise MalformedSuite(f"{location}.name: {flaw}")
         pattern = _load_variant(entry.get("pattern"), PATTERNS, "pattern", conditions, f"{location}.pattern")
         scope = _load_variant(entry.get("scope"), SCOPES, "scope", conditions, f"{location}.scope")
         meta = entry.get("meta")
@@ -244,8 +251,8 @@ def _load_value(f: dataclasses.Field, value: Any, conditions: Mapping[str, Condi
     if f.type == "str | None" and value is not None:
         if type(value) is not str:
             raise error(f"{location}.{f.name}", "must be a string")
-        if _breaks_line(value):
-            raise error(f"{location}.{f.name}", "must not contain a line break")
+        if flaw := _unprintable(value):
+            raise error(f"{location}.{f.name}", flaw)
     return value
 
 
@@ -304,7 +311,7 @@ def load_trace(text: str) -> Trace:
     for code, line in enumerate(codes):
         try:
             atoms = _decode(line)
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # an integer too long for `int` too
             atoms = None
         if type(atoms) is not list or not all(map(is_valid_atom, atoms)):
             _refuse_line(lines.index(line) + 1, line)
@@ -318,7 +325,7 @@ def _refuse_line(lineno: int, line: str) -> NoReturn:
     which diagnostic applies only on this error path."""
     try:
         atoms = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise TraceFormatError(lineno, f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise TraceFormatError(lineno, "JSON nests too deeply") from None

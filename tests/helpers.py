@@ -9,19 +9,24 @@ import random
 
 from reqpat.conditions import And, Condition, Const, Not, Or, Ref, State, Trace
 from reqpat.patterns import (
+    Absence,
     After,
     AfterUntil,
     Before,
     Between,
+    BoundedExistence,
+    Existence,
     Fails,
     Globally,
     Holds,
+    Precedence,
+    PrecedenceChain,
     Requirement,
     Response,
     Scope,
+    Universality,
     Verdict,
     eval_condition,
-    segments,
 )
 from reqpat import ltl
 
@@ -233,7 +238,7 @@ def brute_precedence_chain_holds(trace: Trace, chain, p, segment) -> bool:
 def reference_response_verdict(pattern, trace: Trace, segment) -> Verdict:
     """Response and ResponseChain on one segment, straight from their
     definition: every trigger rescans forward for its own answer, so this is
-    quadratic in the segment length. The reference for evaluate_pattern."""
+    quadratic in the segment length."""
     lo, hi = segment
     triggered = False
     for k in range(lo, hi):
@@ -253,11 +258,75 @@ def reference_response_verdict(pattern, trace: Trace, segment) -> Verdict:
     return Holds(vacuous=not triggered)
 
 
+def reference_segments(scope: Scope, trace: Trace) -> list[tuple[int, int]]:
+    """The segments of a scope, straight from the conventions that
+    `patterns.segments` states, with `truth` for every condition read."""
+    n = len(trace)
+
+    def first(cond, start: int) -> int | None:
+        return next((k for k in range(start, n) if truth(cond, trace[k].atoms)), None)
+
+    match scope:
+        case Globally():
+            return [(0, n)]
+        case Before(r):
+            close = first(r, 0)
+            return [] if close is None else [(0, close)]
+        case After(q):
+            opening = first(q, 0)
+            return [] if opening is None else [(opening, n)]
+    out, cursor = [], 0
+    while (opening := first(scope.q, cursor)) is not None:
+        cursor = first(scope.r, opening + 1)
+        if cursor is None:
+            return out + [(opening, n)] if isinstance(scope, AfterUntil) else out
+        out.append((opening, cursor))
+    return out
+
+
+def reference_verdict(pattern, trace: Trace, segment) -> Verdict:
+    """One pattern on one segment, straight from the failing position and
+    vacuity rules in `evaluate_pattern`'s docstring. Conditions are read
+    with `truth`, and chains are matched by brute force; Response and
+    ResponseChain are `reference_response_verdict`."""
+    lo, hi = segment
+
+    def where(cond, value: bool = True, start: int = lo, stop: int = hi) -> list[int]:
+        return [k for k in range(start, stop) if truth(cond, trace[k].atoms) is value]
+
+    match pattern:
+        case Absence(p):
+            hits = where(p)
+            return Fails(0, hits[0], "forbidden condition holds") if hits else Holds(vacuous=lo == hi)
+        case Universality(p):
+            misses = where(p, False)
+            return Fails(0, misses[0], "required condition does not hold") if misses else Holds(vacuous=lo == hi)
+        case Existence(p):
+            return Holds() if where(p) else Fails(0, max(lo, hi - 1), "no position satisfies the condition")
+        case BoundedExistence(p, bound):
+            starts = [k for k in where(p) if k == lo or not truth(p, trace[k - 1].atoms)]
+            if len(starts) > bound:
+                return Fails(0, starts[bound], f"block {bound + 1} exceeds the bound of {bound}")
+            return Holds(vacuous=lo == hi)
+        case Precedence(s, p):
+            triggers = where(p)
+            if triggers and not where(s, stop=triggers[0] + 1):
+                return Fails(0, triggers[0], "condition occurs before its required precedent")
+            return Holds(vacuous=not triggers)
+        case PrecedenceChain(chain, p):
+            triggers = where(p)
+            if triggers and not chain_positions_exist(trace, chain, lo - 1, triggers[0]):
+                return Fails(0, triggers[0], "condition is not preceded by the full chain")
+            return Holds(vacuous=not triggers)
+    return reference_response_verdict(pattern, trace, segment)
+
+
 def reference_check(req: Requirement, trace: Trace) -> Verdict:
-    """patterns.check with reference_response_verdict as the pattern semantics."""
+    """patterns.check from the references: the first failing segment's
+    verdict with its index, else Holds, vacuously iff every segment is."""
     verdicts = []
-    for idx, seg in enumerate(segments(req.scope, trace)):
-        verdict = reference_response_verdict(req.pattern, trace, seg)
+    for idx, seg in enumerate(reference_segments(req.scope, trace)):
+        verdict = reference_verdict(req.pattern, trace, seg)
         if isinstance(verdict, Fails):
             return dataclasses.replace(verdict, segment=idx)
         verdicts.append(verdict)

@@ -10,7 +10,7 @@ from reqpat import cli
 from reqpat.cli import main
 from reqpat.clock import Clock, builtin_suite, builtin_suite_text
 from reqpat.harness import record
-from reqpat.suite import MalformedCondition, load_suite, write_trace
+from reqpat.suite import MalformedCondition, SuiteError, load_suite, write_trace
 
 
 @pytest.fixture()
@@ -133,6 +133,22 @@ def test_check_vacuous_only_exits_3(capsys, tmp_path):
     code, out = run(capsys, "check", "--suite", str(suite), "--trace", str(trace))
     assert "NEVER_TRIGGERED: HOLDS (vacuous)" in out
     assert code == 3
+
+
+def test_universality_before_a_close_at_0_holds_vacuously_and_exits_3(capsys, tmp_path):
+    """Before an r at position 0 the one segment is empty, so a universality
+    requirement holds there only vacuously, in text and in --json."""
+    suite = tmp_path / "before.json"
+    suite.write_text(json.dumps({
+        "conditions": {"p": "p", "r": "r"},
+        "requirements": [{"name": "ALWAYS_P", "pattern": {"type": "universality", "p": "p"},
+                          "scope": {"type": "before", "r": "r"}}],
+    }))
+    trace = tmp_path / "r_then_p.jsonl"
+    trace.write_text('["r"]\n["p"]\n')
+    assert run(capsys, "check", "--suite", str(suite), "--trace", str(trace)) == (3, "ALWAYS_P: HOLDS (vacuous)\n")
+    code, out = run(capsys, "check", "--suite", str(suite), "--trace", str(trace), "--json")
+    assert (code, json.loads(out)) == (3, [{"name": "ALWAYS_P", "verdict": "holds", "vacuous": True}])
 
 
 # --- drive ------------------------------------------------------------------
@@ -340,6 +356,56 @@ def test_trace_line_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: line 2: JSON nests too deeply\n"
+
+
+# Python 3.10.7 and later refuse to convert an integer of more digits than
+# this limit, which includes json's integers.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(not INT_DIGITS, reason="this Python converts integers of any length")
+
+
+@needs_int_limit
+def test_suite_integer_longer_than_int_converts_exits_2(capsys, tmp_path):
+    suite = tmp_path / "long_k.json"
+    suite.write_text(
+        '{"conditions": {"m": "at_2400"}, "requirements": [{"name": "R", "scope": {"type": "globally"}, '
+        '"pattern": {"type": "bounded_existence", "p": "m", "k": ' + "9" * (INT_DIGITS + 1) + "}}]}"
+    )
+    for command in (["check", "--trace", trace_file(tmp_path, 3)], ["render"], ["emit"], ["report"]):
+        _exits_2_with_one_error_line(capsys, [command[0], "--suite", str(suite), *command[1:]])
+
+
+@needs_int_limit
+def test_trace_integer_longer_than_int_converts_exits_2_naming_its_line(capsys, tmp_path, clock_suite):
+    trace = tmp_path / "long.jsonl"
+    trace.write_text('["at_2400"]\n[' + "9" * (INT_DIGITS + 1) + "]\n")
+    code = main(["check", "--suite", clock_suite, "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: line 2: not valid JSON: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["requirement name", "condition name", "meta string"])
+def test_lone_surrogate_in_a_printed_string_exits_2(capsys, tmp_path, where):
+    """Every name and link is printed, and UTF-8 output cannot carry a lone
+    surrogate, so the suite is refused at load."""
+    doc = json.loads(builtin_suite_text())
+    if where == "requirement name":
+        doc["requirements"][1]["name"] = "R\ud800"
+    elif where == "condition name":
+        doc["conditions"] = {"mid\udfffnight": "at_2400"}
+        for req in doc["requirements"]:
+            req["pattern"] = {key: "mid\udfffnight" if value == "midnight" else value
+                              for key, value in req["pattern"].items()}
+    else:
+        doc["requirements"][0]["meta"]["repo_url"] = "https://example.org/\ud800"
+    suite = tmp_path / "surrogate.json"
+    suite.write_text(json.dumps(doc))
+    trace = trace_file(tmp_path, 3)
+    for command in (["check", "--trace", trace], ["check", "--json", "--trace", trace], ["render"], ["emit"], ["report"]):
+        _exits_2_with_one_error_line(capsys, [command[0], "--suite", str(suite), *command[1:]])
+    with pytest.raises(SuiteError, match="must not contain a lone surrogate"):
+        load_suite(suite.read_text())
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,7 @@ from helpers import (
     random_state,
     random_trace,
     reference_check,
+    reference_segments,
 )
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
@@ -379,11 +380,11 @@ def _random_requirements(rng: random.Random, scopes: list, conditions: list, cou
 
 @pytest.mark.parametrize("pool_size, runs, max_len", [(6, 300, 40), (300, 8, 1200)])
 def test_loaded_traces_give_the_verdicts_of_built_traces(pool_size, runs, max_len):
-    """A loaded trace is checked through truth columns over its distinct
-    lines, a built one position by position; both give every verdict
-    (segment, position, reason, vacuity) alike. The lines repeat, from a
-    pool of a few states or of more than 256, and `segments` and
-    `evaluate_pattern` read the loaded trace first."""
+    """A loaded trace whose lines repeat is checked through truth columns
+    over its distinct lines, any other trace position by position; both
+    give every verdict (segment, position, reason, vacuity) alike. The
+    lines come from a pool of a few states or of more than 256, and
+    `segments` and `evaluate_pattern` read the loaded trace first."""
     rng = random.Random(20261019 + pool_size)
     # A filler atom no condition reads keeps every line of the pool distinct.
     pool = [State(random_state(rng).atoms | {f"x{i}"}) for i in range(pool_size)]
@@ -438,6 +439,61 @@ def test_check_reads_each_condition_once_per_distinct_line_of_a_loaded_trace(mon
     assert 0 < calls <= len(lines) * len(suite.conditions)
     monkeypatch.undo()
     assert verdicts == [check(req, Trace(trace.states)) for req in suite.requirements]
+
+
+def _counted_reads(monkeypatch, reqs, trace) -> tuple[int, list]:
+    """The verdicts of `reqs` on `trace`, and the `patterns.eval_condition`
+    calls they made."""
+    calls = 0
+    inner = patterns.eval_condition
+
+    def counting(expr, state):
+        nonlocal calls
+        calls += 1
+        return inner(expr, state)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(patterns, "eval_condition", counting)
+        verdicts = [check(req, trace) for req in reqs]
+    return calls, verdicts
+
+
+def test_check_reads_loaded_lines_that_do_not_repeat_as_it_reads_built_states(monkeypatch):
+    """Truth columns read every condition on every distinct line, which is
+    waste when no line repeats: such a loaded trace is read position by
+    position, with no more reads than the same states built."""
+    suite = load_suite(json.dumps({
+        "conditions": {"p": "p", "s": "s || t", "q": "q && !p", "r": "r"},
+        "requirements": [
+            {"name": f"R{i}", "pattern": pattern, "scope": scope}
+            for i, (pattern, scope) in enumerate(itertools.product(PATTERN_ENTRIES, SCOPE_ENTRIES))
+        ],
+    }))
+    rng = random.Random(11)
+    # A filler atom no condition reads keeps every line distinct.
+    built = Trace(State(random_state(rng, ("p", "q", "r", "s", "t")).atoms | {f"x{i}"}) for i in range(300))
+    loaded = load_trace(write_trace(built))
+    loaded_calls, loaded_verdicts = _counted_reads(monkeypatch, suite.requirements, loaded)
+    built_calls, built_verdicts = _counted_reads(monkeypatch, suite.requirements, built)
+    assert 0 < loaded_calls <= built_calls
+    assert [dataclasses.astuple(v) for v in loaded_verdicts] == [dataclasses.astuple(v) for v in built_verdicts]
+
+
+def test_check_reads_repeated_lines_past_256_distinct_once_per_distinct_line(monkeypatch):
+    """600 lines over 300 distinct states, each twice: past 256 distinct
+    lines the codes are a list, and each condition is still read once per
+    distinct line, where the built states are read once per position."""
+    rng = random.Random(12)
+    pool = [State({"p", f"x{i}"}) for i in range(300)]
+    lines = pool + pool
+    rng.shuffle(lines)
+    built = Trace(lines)
+    loaded = load_trace(write_trace(built))
+    reqs = [Requirement("always_p", Universality(P), Globally()), Requirement("never_q", Absence(Q), Globally())]
+    loaded_calls, loaded_verdicts = _counted_reads(monkeypatch, reqs, loaded)
+    built_calls, built_verdicts = _counted_reads(monkeypatch, reqs, built)
+    assert loaded_verdicts == built_verdicts == [Holds(vacuous=False)] * 2
+    assert (loaded_calls, built_calls) == (2 * 300, 2 * 600)
 
 
 def test_check_carves_a_scope_too_deep_to_hash():
@@ -523,6 +579,89 @@ def test_response_patterns_match_reference_on_random_traces():
         req = Requirement("r", pattern, random_scope(rng, atoms))
         got, want = check(req, trace), reference_check(req, trace)
         assert _same_verdict(got, want), (req, trace)
+
+
+# --- every pattern against the reference, built and loaded -------------------
+
+# Patterns of every kind over p, a and b, beside RESPONSE_PATTERNS.
+OTHER_PATTERNS = [
+    Absence(P),
+    Universality(P),
+    Existence(P),
+    BoundedExistence(P, 0),
+    BoundedExistence(P, 1),
+    Precedence(A, P),
+    Precedence(P, P),
+    PrecedenceChain([A], P),
+    PrecedenceChain([A, B], P),
+    PrecedenceChain([A, P], P),
+]
+
+
+def _built_and_loaded(trace: Trace) -> tuple[Trace, Trace]:
+    return Trace(trace.states), load_trace(write_trace(trace))
+
+
+@pytest.mark.parametrize("scope", RESPONSE_SCOPES, ids=lambda s: type(s).__name__)
+def test_every_pattern_matches_reference_on_every_short_trace(scope):
+    """Every trace up to length 3 over the atoms a requirement reads, built
+    and loaded: segment, position, reason and vacuity all agree."""
+    for pattern in OTHER_PATTERNS:
+        req = Requirement("r", pattern, scope)
+        for trace in all_traces(_atoms_read(req), 3, min_len=0):
+            want = reference_check(req, trace)
+            for checked in _built_and_loaded(trace):
+                assert _same_verdict(check(req, checked), want), (pattern, scope, trace)
+
+
+def test_every_pattern_matches_reference_on_random_traces():
+    """Random requirements of all eight patterns on random traces, built and
+    loaded; the loaded ones repeat lines, so they are read through columns."""
+    rng = random.Random(20261020)
+    atoms = ("p", "a", "b", "c")
+    for _ in range(2500):
+        trace = random_trace(rng, atoms, max_len=24)
+        p, s = (random_condition(rng, atoms, depth=1) for _ in range(2))
+        chain = [rng.choice([p, s, random_condition(rng, atoms, depth=1)]) for _ in range(rng.randint(1, 3))]
+        pattern = rng.choice([
+            Absence(p), Universality(p), Existence(p), BoundedExistence(p, rng.randint(0, 2)), Precedence(s, p),
+            Response(p, s, strict=rng.random() < 0.5), ResponseChain(p, chain), PrecedenceChain(chain, p),
+        ])
+        req = Requirement("r", pattern, random_scope(rng, atoms))
+        want = reference_check(req, trace)
+        for checked in _built_and_loaded(trace):
+            assert _same_verdict(check(req, checked), want), (req, trace)
+
+
+def test_reference_segments_are_the_library_s():
+    rng = random.Random(20261021)
+    for _ in range(400):
+        trace, scope = random_trace(rng, max_len=16), random_scope(rng)
+        for checked in _built_and_loaded(trace):
+            assert segments(scope, checked) == reference_segments(scope, trace), (scope, trace)
+
+
+@pytest.mark.parametrize(
+    "req, atom_sets, verdict",
+    [
+        # Before an r at 0 the one segment is empty: vacuous, not substantive.
+        (Requirement("u", Universality(P), Before(R)), [{"r"}, {"p"}, {"p"}, {"p"}], Holds(vacuous=True)),
+        # No p in [1, 4): the failure is at the segment's last position.
+        (Requirement("e", Existence(P), After(Q)), [set(), {"q"}, set(), set()],
+         Fails(0, 3, "no position satisfies the condition")),
+        # a at 1 and no b before the p at 4: the failure is at the p.
+        (Requirement("pc", PrecedenceChain([A, B], P), Globally()), [set(), {"a"}, set(), set(), {"p"}, set()],
+         Fails(0, 4, "condition is not preceded by the full chain")),
+    ],
+    ids=["universality_vacuous", "existence_position", "precedence_chain_position"],
+)
+def test_pinned_verdicts_on_built_and_loaded_traces(req, atom_sets, verdict):
+    """Each loaded trace here repeats its lines, so it is read through
+    columns, and its built twin position by position."""
+    for checked in _built_and_loaded(Trace.of(*atom_sets)):
+        assert _same_verdict(check(req, checked), verdict)
+        [segment] = segments(req.scope, checked)
+        assert _same_verdict(evaluate_pattern(req.pattern, checked, segment), verdict)
 
 
 @pytest.mark.parametrize(
