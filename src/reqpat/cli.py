@@ -8,23 +8,52 @@ clock scenario).
 Exit codes: 0 all requirements hold; 1 at least one violation or unreached
 goal; 2 usage or load error; 3 every requirement holds but at least one only
 vacuously; 4 internal error, an exception no command expected.
+
+`main(argv)` may be called repeatedly in one process: the argument parser is
+built on the first call and reused, and each call starts from fresh
+arguments. Each command imports only the modules it runs: `check` loads
+`conditions`, `patterns` and `suite`, while `ltl`, `harness`, `clock` and
+`picnic` load when a command that uses them first runs. The names this
+module calls in those modules are attributes from import on, as stand-ins
+that import their module on first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .clock import Clock, builtin_suite
 from .conditions import Ref, is_valid_atom
-from .harness import DriveOutcome, PreconditionViolation, Reached, SutContract, drive_verify_response, establish
-from .ltl import UnsupportedPattern, emit_ltl, print_formula
 from .patterns import Existence, Fails, Globally, Requirement, Response, Verdict, check, map_conditions
-from .picnic import PicnicError, render_suite_report, traceability_report
 from .suite import SuiteError, load_suite, load_trace
+
+if TYPE_CHECKING:
+    from .harness import DriveOutcome, SutContract
+    from .suite import Suite
+
+
+def _deferred(module: str, name: str) -> Callable:
+    """A stand-in for `module.name` that imports `module` on its first call."""
+    resolve = functools.cache(lambda: getattr(importlib.import_module(f".{module}", __package__), name))
+
+    def forward(*args, **kwargs):
+        return resolve()(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+emit_ltl = _deferred("ltl", "emit_ltl")
+print_formula = _deferred("ltl", "print_formula")
+render_suite_report = _deferred("picnic", "render_suite_report")
+traceability_report = _deferred("picnic", "traceability_report")
+establish = _deferred("harness", "establish")
+drive_verify_response = _deferred("harness", "drive_verify_response")
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -32,7 +61,7 @@ EXIT_USAGE = 2
 EXIT_VACUOUS = 3
 EXIT_INTERNAL = 4
 
-SUTS: dict[str, Callable[[], SutContract]] = {"clock": Clock}
+SUTS: dict[str, Callable[[], SutContract]] = {"clock": _deferred("clock", "Clock")}
 
 
 def _one_line(text: str) -> str:
@@ -94,6 +123,8 @@ def _drive(sut: SutContract, req: Requirement, bound: int) -> DriveOutcome:
 
 
 def _cmd_drive(args: argparse.Namespace) -> int:
+    from .harness import Reached
+
     suite = load_suite(_read(args.suite))
     factory = SUTS.get(args.sut)
     if factory is None:
@@ -113,12 +144,25 @@ def _cmd_drive(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    print(render_suite_report(load_suite(_read(args.suite))), end="")
+def _print_report(report: Callable[[Suite], str], args: argparse.Namespace) -> int:
+    from .picnic import PicnicError
+
+    suite = load_suite(_read(args.suite))
+    try:
+        text = report(suite)
+    except PicnicError as exc:
+        return _fail(str(exc))
+    print(text, end="")
     return EXIT_OK
 
 
+def _cmd_render(args: argparse.Namespace) -> int:
+    return _print_report(render_suite_report, args)
+
+
 def _cmd_emit(args: argparse.Namespace) -> int:
+    from .ltl import UnsupportedPattern
+
     suite = load_suite(_read(args.suite))
     # Print formulas over the suite's condition names (the analyst's
     # vocabulary) rather than over the raw observation atoms.
@@ -138,8 +182,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    print(traceability_report(load_suite(_read(args.suite))), end="")
-    return EXIT_OK
+    return _print_report(traceability_report, args)
 
 
 # The scripted clock scenario: (step label, requirement of the built-in suite).
@@ -153,6 +196,9 @@ DEMO_STEPS = (
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.sut != "clock":
         return _fail(f"unknown demo {args.sut!r}; available: clock")
+    from .clock import Clock, builtin_suite
+    from .harness import PreconditionViolation
+
     by_name = {req.name: req for req in builtin_suite().requirements}
     clock = Clock()
 
@@ -166,7 +212,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="reqpat",
         description="Check, drive, paraphrase, and trace pattern-based requirements.",
@@ -206,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches EXIT_USAGE; re-raise
         # --help style exits (code 0) untouched.
@@ -219,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("--bound must be >= 0")
     try:
         return args.func(args)
-    except (SuiteError, PicnicError) as exc:
+    except SuiteError as exc:
         return _fail(str(exc))
     except Exception as exc:
         # A defect, not a verdict: exit 1 stays reserved for violations.

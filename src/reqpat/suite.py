@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NoReturn
 
@@ -117,6 +118,14 @@ def _reject_duplicates(names: Iterable[str]) -> None:
         seen.add(name)
 
 
+def _refused_json(exc: ValueError) -> str:
+    """Why `json` refused a text: it is not JSON, or it is JSON holding an
+    integer longer than `int` converts."""
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not valid JSON: {exc}"
+    return f"integer longer than the {sys.get_int_max_str_digits()}-digit limit"
+
+
 def _check_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     out = dict(pairs)
     if len(out) < len(pairs):
@@ -142,8 +151,8 @@ def load_suite(text: str) -> Suite:
         raise MalformedSuite("JSON nests too deeply") from None
     except SuiteError:
         raise
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long for `int`
-        raise MalformedSuite(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise MalformedSuite(_refused_json(exc)) from exc
     if not isinstance(data, dict):
         raise MalformedSuite("top level must be a JSON object")
 
@@ -326,7 +335,7 @@ def _refuse_line(lineno: int, line: str) -> NoReturn:
     try:
         atoms = json.loads(line)
     except ValueError as exc:
-        raise TraceFormatError(lineno, f"not valid JSON: {exc}") from exc
+        raise TraceFormatError(lineno, _refused_json(exc)) from exc
     except RecursionError:
         raise TraceFormatError(lineno, "JSON nests too deeply") from None
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -68,12 +69,16 @@ def test_check_short_trace_fails_existence(capsys, tmp_path, clock_suite):
     assert code == 1
 
 
-def test_module_entry_point_runs_the_command(tmp_path, clock_suite):
-    """`python -m reqpat.cli` exits with the verdict, as the `reqpat` script does."""
+def fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this package's source."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "reqpat.cli", "check", "--suite", clock_suite, "--trace", trace_file(tmp_path, 99)]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs_the_command(tmp_path, clock_suite):
+    """`python -m reqpat.cli` exits with the verdict, as the `reqpat` script does."""
+    done = fresh_python("-m", "reqpat.cli", "check", "--suite", clock_suite, "--trace", trace_file(tmp_path, 99))
     assert "STATEMENT_0: FAILS" in done.stdout
     assert done.returncode == 1
 
@@ -372,7 +377,10 @@ def test_suite_integer_longer_than_int_converts_exits_2(capsys, tmp_path):
         '"pattern": {"type": "bounded_existence", "p": "m", "k": ' + "9" * (INT_DIGITS + 1) + "}}]}"
     )
     for command in (["check", "--trace", trace_file(tmp_path, 3)], ["render"], ["emit"], ["report"]):
-        _exits_2_with_one_error_line(capsys, [command[0], "--suite", str(suite), *command[1:]])
+        code = main([command[0], "--suite", str(suite), *command[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), command
+        assert captured.err == f"error: integer longer than the {INT_DIGITS}-digit limit\n", command
 
 
 @needs_int_limit
@@ -382,7 +390,7 @@ def test_trace_integer_longer_than_int_converts_exits_2_naming_its_line(capsys, 
     code = main(["check", "--suite", clock_suite, "--trace", str(trace)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: line 2: not valid JSON: ") and captured.err.count("\n") == 1
+    assert captured.err == f"error: line 2: integer longer than the {INT_DIGITS}-digit limit\n"
 
 
 @pytest.mark.parametrize("where", ["requirement name", "condition name", "meta string"])
@@ -528,3 +536,91 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, tmp_pat
 def test_usage_error_exits_2(capsys):
     assert main(["check"]) == 2
     assert main(["no_such_command"]) == 2
+
+
+# --- one process, many calls; each command imports what it runs ---------------
+
+def test_check_imports_only_conditions_patterns_and_suite(tmp_path, clock_suite):
+    code = (
+        "import sys\n"
+        "from reqpat import cli\n"
+        f"status = cli.main(['check', '--suite', {clock_suite!r}, '--trace', {trace_file(tmp_path, 99)!r}])\n"
+        "print(status, sorted(name for name in sys.modules if name.startswith('reqpat')))\n"
+    )
+    done = fresh_python("-c", code)
+    assert done.stdout.splitlines() == [
+        "STATEMENT_0: FAILS at segment 0 position 99",
+        "STATEMENT_1_1: HOLDS (vacuous)",
+        "1 ['reqpat', 'reqpat.cli', 'reqpat.conditions', 'reqpat.patterns', 'reqpat.suite']",
+    ]
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["emit"], ["render"], ["report"], ["drive", "--sut", "clock", "--bound", "2000"], ["demo", "clock"],
+])
+def test_each_command_runs_in_a_fresh_interpreter_as_in_process(capsys, clock_suite, command):
+    """A command whose modules load on its first call prints what it prints
+    in a process that has loaded them all."""
+    argv = command if command[0] == "demo" else [command[0], "--suite", clock_suite, *command[1:]]
+    done = fresh_python("-m", "reqpat.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (*run(capsys, *argv), "")
+    assert done.stdout
+
+
+def test_check_after_check_json_prints_text(capsys, tmp_path, clock_suite):
+    argv = ["check", "--suite", clock_suite, "--trace", trace_file(tmp_path, 99)]
+    assert run(capsys, *argv, "--json")[1].startswith("[")
+    assert run(capsys, *argv) == (1, "STATEMENT_0: FAILS at segment 0 position 99\nSTATEMENT_1_1: HOLDS (vacuous)\n")
+
+
+def test_demo_after_demo_with_a_bound_uses_the_default_bound(capsys):
+    short = run(capsys, "demo", "clock", "--bound", "5")
+    assert "NotReached(5)" in short[1]
+    assert run(capsys, "demo", "clock") == (0, DEMO_TRANSCRIPT)
+
+
+def test_usage_error_between_two_calls_changes_neither(capsys, tmp_path, clock_suite):
+    argv = ["check", "--suite", clock_suite, "--trace", trace_file(tmp_path, 99), "--json"]
+    first = run(capsys, *argv)
+    for bad in (["check", "--json"], ["demo", "clock", "--bound", "x"], ["drive", "--suite", clock_suite]):
+        assert main(bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: reqpat ")
+    assert run(capsys, *argv) == first
+
+
+# The names `reqpat.cli` calls in other modules, each with a command that
+# calls it. The benchmark's tracer patches exactly these on `reqpat.cli`.
+CLI_CALLS = {
+    "load_suite": "render",
+    "load_trace": "check",
+    "check": "check",
+    "emit_ltl": "emit",
+    "print_formula": "emit",
+    "map_conditions": "emit",
+    "render_suite_report": "render",
+    "traceability_report": "report",
+    "establish": "drive",
+    "drive_verify_response": "drive",
+}
+
+
+@pytest.mark.parametrize("name", CLI_CALLS)
+def test_patching_a_called_name_on_cli_reaches_its_command(capsys, tmp_path, clock_suite, name):
+    command = CLI_CALLS[name]
+    argv = {
+        "check": ["check", "--suite", clock_suite, "--trace", trace_file(tmp_path, 99)],
+        "drive": ["drive", "--suite", clock_suite, "--sut", "clock", "--bound", "2000"],
+    }.get(command, [command, "--suite", clock_suite])
+    expected = run(capsys, *argv)
+    calls = []
+    inner = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    with mock.patch.object(cli, name, counting):
+        assert run(capsys, *argv) == expected
+    assert calls
