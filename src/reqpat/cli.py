@@ -80,6 +80,8 @@ def _read(path: str) -> str:
         raise SuiteError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
         raise SuiteError(str(exc)) from None
+    except ValueError as exc:  # a name with a NUL or a lone surrogate, which no file has
+        raise SuiteError(f"{path!r}: not a file name ({exc})") from None
 
 
 def _verdict_row(name: str, verdict: Verdict) -> dict:

@@ -7,9 +7,10 @@ evaluated on every segment. A verdict distinguishes vacuous satisfaction
 because a suite that only holds vacuously usually signals missing
 requirements rather than a verified system.
 
-Every catalogue entry is one class: a scope carves its own segments, a
-pattern decides all of them itself, and each carries its paraphrase template
-`phrase` as a class attribute, which is not a field.
+Every catalogue entry is one class, which names its JSON tag in its class
+statement and so enters `PATTERNS` or `SCOPES`: a scope carves its own
+segments, a pattern decides all of them itself, and each carries its
+paraphrase template `phrase` as a class attribute, which is not a field.
 """
 
 from __future__ import annotations
@@ -50,8 +51,15 @@ _VACUOUS = Holds(vacuous=True)
 # truth is `truth`, 1 or 0, and `scan.rfind(x, 1, lo, hi)` the last where c
 # holds, each -1 if none, as `bytes.find` and `rfind` answer. `check` picks
 # the scan from the trace; `segments` and `evaluate_pattern` always read
-# lazily. Either way every condition is read through eval_condition, which
-# rejects a non-condition with TypeError; bench/tracing.py counts its calls.
+# lazily. Either way `read` rejects a non-condition with TypeError, even one
+# that no scan reaches, and every condition is evaluated by eval_condition,
+# whose calls bench/tracing.py counts.
+def _checked(cond: Condition) -> Condition:
+    if not isinstance(cond, Condition):
+        raise TypeError(f"not a condition: {cond!r}")
+    return cond
+
+
 class _Lazy:
     """Reads position by position, up to the first answer: the scan of a
     trace built from states, often short and checked once, and of loaded
@@ -62,8 +70,7 @@ class _Lazy:
     def __init__(self, trace: Trace):
         self.states = trace.states
 
-    def read(self, cond: Condition) -> Condition:
-        return cond
+    read = staticmethod(_checked)
 
     def find(self, cond: Condition, truth: int, lo: int, hi: int) -> int:
         states = self.states
@@ -102,6 +109,7 @@ class _Columns:
         trace = self.trace
         entry = trace._columns.get(id(cond))
         if entry is None:
+            _checked(cond)
             truth, codes = bytes([eval_condition(cond, state) for state in trace._distinct]), trace._codes
             column = codes.translate(truth.ljust(256)) if type(codes) is bytes else bytes(map(truth.__getitem__, codes))
             entry = trace._columns[id(cond)] = (cond, column)
@@ -111,71 +119,25 @@ class _Columns:
 Scan = _Lazy | _Columns
 
 
-class Scope:
-    """Base class for scope variants. All variants are immutable values;
-    `segments(scan, n)` lists the half-open segments the variant governs in
-    a trace of length n, reading conditions through `scan`."""
+# The catalogue: every pattern and scope variant under its JSON tag, in order
+# of definition, entered by its class statement, `class Absence(Pattern,
+# tag="absence")`. A variant's parameters are its dataclass fields; loading,
+# dumping and mapping derive from them, and the paraphrase fills `phrase`.
+PATTERNS: dict[str, type[Pattern]] = {}
+SCOPES: dict[str, type[Scope]] = {}
+TAGS: dict[type, str] = {}
+
+
+class Pattern:
+    """Base class for pattern variants. `evaluate(scan, carved)` decides the
+    variant on every segment of `carved` in order, reading conditions
+    through `scan`, and returns the first failure with its segment index,
+    or Holds; see `evaluate_pattern` for each variant's rules."""
 
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Globally(Scope):
-    phrase = "globally"
-
-    def segments(self, scan: Scan, n: int) -> list[Segment]:
-        return [(0, n)]
-
-
-@dataclass(frozen=True)
-class Before(Scope):
-    r: Condition
-    phrase = "before {r}"
-
-    def segments(self, scan: Scan, n: int) -> list[Segment]:
-        idx = scan.find(scan.read(self.r), 1, 0, n)
-        return [] if idx < 0 else [(0, idx)]
-
-
-@dataclass(frozen=True)
-class After(Scope):
-    q: Condition
-    phrase = "after {q}"
-
-    def segments(self, scan: Scan, n: int) -> list[Segment]:
-        idx = scan.find(scan.read(self.q), 1, 0, n)
-        return [] if idx < 0 else [(idx, n)]
-
-
-def _windows(scope: Between | AfterUntil, scan: Scan, n: int, keep_open: bool) -> list[Segment]:
-    """From each q at or after the previous close to the next strictly later
-    r; an unclosed trailing window runs to the end if `keep_open`."""
-    find, q, r, out, cursor = scan.find, scan.read(scope.q), scan.read(scope.r), [], 0
-    while (q_idx := find(q, 1, cursor, n)) >= 0:
-        if (cursor := find(r, 1, q_idx + 1, n)) < 0:
-            return out + [(q_idx, n)] if keep_open else out
-        out.append((q_idx, cursor))
-    return out
-
-
-@dataclass(frozen=True)
-class Between(Scope):
-    q: Condition
-    r: Condition
-    phrase = "between {q} and {r}"
-
-    def segments(self, scan: Scan, n: int) -> list[Segment]:
-        return _windows(self, scan, n, keep_open=False)
-
-
-@dataclass(frozen=True)
-class AfterUntil(Scope):
-    q: Condition
-    r: Condition
-    phrase = "after {q} until {r}"
-
-    def segments(self, scan: Scan, n: int) -> list[Segment]:
-        return _windows(self, scan, n, keep_open=True)
+    def __init_subclass__(cls, *, tag: str) -> None:
+        PATTERNS[tag], TAGS[cls] = cls, tag
 
 
 def _nowhere(scan: Scan, cond: Condition, truth: int, carved: list[Segment], reason: str) -> Verdict:
@@ -188,17 +150,8 @@ def _nowhere(scan: Scan, cond: Condition, truth: int, carved: list[Segment], rea
     return _HOLDS if any(starmap(lt, carved)) else _VACUOUS
 
 
-class Pattern:
-    """Base class for pattern variants. `evaluate(scan, carved)` decides the
-    variant on every segment of `carved` in order, reading conditions
-    through `scan`, and returns the first failure with its segment index,
-    or Holds; see `evaluate_pattern` for each variant's rules."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class Absence(Pattern):
+class Absence(Pattern, tag="absence"):
     p: Condition
     phrase = "it is never the case that {p} holds"
 
@@ -207,7 +160,7 @@ class Absence(Pattern):
 
 
 @dataclass(frozen=True)
-class Universality(Pattern):
+class Universality(Pattern, tag="universality"):
     p: Condition
     phrase = "it is always the case that {p} holds"
 
@@ -216,7 +169,7 @@ class Universality(Pattern):
 
 
 @dataclass(frozen=True)
-class Existence(Pattern):
+class Existence(Pattern, tag="existence"):
     p: Condition
     phrase = "{p} eventually holds"
 
@@ -229,7 +182,7 @@ class Existence(Pattern):
 
 
 @dataclass(frozen=True)
-class BoundedExistence(Pattern):
+class BoundedExistence(Pattern, tag="bounded_existence"):
     p: Condition
     k: int
     phrase = "{p} holds in at most {k} episodes"
@@ -252,7 +205,7 @@ class BoundedExistence(Pattern):
 
 
 @dataclass(frozen=True)
-class Precedence(Pattern):
+class Precedence(Pattern, tag="precedence"):
     s: Condition
     p: Condition
     phrase = "{s} precedes {p}"
@@ -269,7 +222,7 @@ class Precedence(Pattern):
 
 
 @dataclass(frozen=True)
-class Response(Pattern):
+class Response(Pattern, tag="response"):
     p: Condition
     s: Condition
     strict: bool = False
@@ -296,7 +249,7 @@ def _seal_chain(pattern: ResponseChain | PrecedenceChain) -> None:
 
 
 @dataclass(frozen=True)
-class ResponseChain(Pattern):
+class ResponseChain(Pattern, tag="response_chain"):
     p: Condition
     chain: tuple[Condition, ...]
     phrase = "{chain} respond in order to {p}"
@@ -324,7 +277,7 @@ class ResponseChain(Pattern):
 
 
 @dataclass(frozen=True)
-class PrecedenceChain(Pattern):
+class PrecedenceChain(Pattern, tag="precedence_chain"):
     chain: tuple[Condition, ...]
     p: Condition
     phrase = "{chain} precede in order {p}"
@@ -345,29 +298,74 @@ class PrecedenceChain(Pattern):
         return _VACUOUS if vacuous else _HOLDS
 
 
-# The catalogue: every pattern and scope variant under its JSON tag. A
-# variant's parameters are its dataclass fields; loading, dumping and mapping
-# are derived from them, and the paraphrase fills its `phrase` from them.
-PATTERNS: dict[str, type[Pattern]] = {
-    "absence": Absence,
-    "universality": Universality,
-    "existence": Existence,
-    "bounded_existence": BoundedExistence,
-    "precedence": Precedence,
-    "response": Response,
-    "response_chain": ResponseChain,
-    "precedence_chain": PrecedenceChain,
-}
+class Scope:
+    """Base class for scope variants. All variants are immutable values;
+    `segments(scan, n)` lists the half-open segments the variant governs in
+    a trace of length n, reading conditions through `scan`."""
 
-SCOPES: dict[str, type[Scope]] = {
-    "globally": Globally,
-    "before": Before,
-    "after": After,
-    "between": Between,
-    "after_until": AfterUntil,
-}
+    __slots__ = ()
 
-TAGS: dict[type, str] = {cls: tag for catalogue in (PATTERNS, SCOPES) for tag, cls in catalogue.items()}
+    def __init_subclass__(cls, *, tag: str) -> None:
+        SCOPES[tag], TAGS[cls] = cls, tag
+
+
+@dataclass(frozen=True)
+class Globally(Scope, tag="globally"):
+    phrase = "globally"
+
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        return [(0, n)]
+
+
+@dataclass(frozen=True)
+class Before(Scope, tag="before"):
+    r: Condition
+    phrase = "before {r}"
+
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        idx = scan.find(scan.read(self.r), 1, 0, n)
+        return [] if idx < 0 else [(0, idx)]
+
+
+@dataclass(frozen=True)
+class After(Scope, tag="after"):
+    q: Condition
+    phrase = "after {q}"
+
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        idx = scan.find(scan.read(self.q), 1, 0, n)
+        return [] if idx < 0 else [(idx, n)]
+
+
+def _windows(scope: Between | AfterUntil, scan: Scan, n: int, keep_open: bool) -> list[Segment]:
+    """From each q at or after the previous close to the next strictly later
+    r; an unclosed trailing window runs to the end if `keep_open`."""
+    find, q, r, out, cursor = scan.find, scan.read(scope.q), scan.read(scope.r), [], 0
+    while (q_idx := find(q, 1, cursor, n)) >= 0:
+        if (cursor := find(r, 1, q_idx + 1, n)) < 0:
+            return out + [(q_idx, n)] if keep_open else out
+        out.append((q_idx, cursor))
+    return out
+
+
+@dataclass(frozen=True)
+class Between(Scope, tag="between"):
+    q: Condition
+    r: Condition
+    phrase = "between {q} and {r}"
+
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        return _windows(self, scan, n, keep_open=False)
+
+
+@dataclass(frozen=True)
+class AfterUntil(Scope, tag="after_until"):
+    q: Condition
+    r: Condition
+    phrase = "after {q} until {r}"
+
+    def segments(self, scan: Scan, n: int) -> list[Segment]:
+        return _windows(self, scan, n, keep_open=True)
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,11 @@ def _reject_duplicates(names: Iterable[str]) -> None:
         seen.add(name)
 
 
-def _refused_json(exc: ValueError) -> str:
-    """Why `json` refused a text: it is not JSON, or it is JSON holding an
-    integer longer than `int` converts."""
+def _refused_json(exc: ValueError | RecursionError) -> str:
+    """Why `json` refused a text: it is not JSON, it nests deeper than the
+    parser recurses, or it holds an integer longer than `int` converts."""
+    if isinstance(exc, RecursionError):
+        return "JSON nests too deeply"
     if isinstance(exc, json.JSONDecodeError):
         return f"not valid JSON: {exc}"
     return f"integer longer than the {sys.get_int_max_str_digits()}-digit limit"
@@ -147,11 +149,9 @@ def load_suite(text: str) -> Suite:
     """Parse and validate a suite file; every defect raises a SuiteError."""
     try:
         data = json.loads(text, object_pairs_hook=_check_duplicate_keys)
-    except RecursionError:
-        raise MalformedSuite("JSON nests too deeply") from None
     except SuiteError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedSuite(_refused_json(exc)) from exc
     if not isinstance(data, dict):
         raise MalformedSuite("top level must be a JSON object")
@@ -334,10 +334,8 @@ def _refuse_line(lineno: int, line: str) -> NoReturn:
     which diagnostic applies only on this error path."""
     try:
         atoms = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TraceFormatError(lineno, _refused_json(exc)) from exc
-    except RecursionError:
-        raise TraceFormatError(lineno, "JSON nests too deeply") from None
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise TraceFormatError(lineno, "each line must be an array of atom names")
     atom = next(a for a in atoms if not is_valid_atom(a))

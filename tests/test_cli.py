@@ -88,6 +88,17 @@ def test_check_missing_file_is_usage_error(capsys, clock_suite):
     assert code == 2
 
 
+@pytest.mark.parametrize("path,reason", [
+    ("a\x00b", "embedded null byte"),
+    ("a\ud800", "'utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed"),
+], ids=["nul", "lone-surrogate"])
+def test_a_file_name_no_file_can_have_is_usage_error(capsys, clock_suite, path, reason):
+    """Found by tests/test_cli_fuzz.py: these were internal errors."""
+    code = main(["check", "--suite", clock_suite, "--trace", path])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path!r}: not a file name ({reason})\n"
+
+
 def test_check_json_agrees_with_human_output(capsys, tmp_path, clock_suite):
     trace = trace_file(tmp_path, 2880)
     code_h, human = run(capsys, "check", "--suite", clock_suite, "--trace", trace)

@@ -13,6 +13,7 @@ from reqpat.conditions import And, Not, Ref, State, Trace, condition_atoms
 from reqpat.patterns import (
     PATTERNS,
     SCOPES,
+    TAGS,
     Absence,
     After,
     AfterUntil,
@@ -23,11 +24,13 @@ from reqpat.patterns import (
     Fails,
     Globally,
     Holds,
+    Pattern,
     Precedence,
     PrecedenceChain,
     Requirement,
     Response,
     ResponseChain,
+    Scope,
     Universality,
     check,
     evaluate_pattern,
@@ -212,6 +215,48 @@ def test_catalogue_tags_are_the_snake_case_class_names():
     assert list(SCOPES) == ["globally", "before", "after", "between", "after_until"]
     for tag, cls in {**PATTERNS, **SCOPES}.items():
         assert re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower() == tag
+
+
+def test_tags_invert_the_catalogue_in_order():
+    assert TAGS == {cls: tag for tag, cls in (PATTERNS | SCOPES).items()}
+    assert list(TAGS.items()) == [(cls, tag) for tag, cls in (PATTERNS | SCOPES).items()]
+
+
+@pytest.mark.parametrize("base", [Pattern, Scope])
+def test_a_variant_without_a_tag_is_refused_at_definition(base):
+    before = list(PATTERNS.items()), list(SCOPES.items()), list(TAGS.items())
+    with pytest.raises(TypeError, match="tag"):
+        class Untagged(base):
+            pass
+    assert (list(PATTERNS.items()), list(SCOPES.items()), list(TAGS.items())) == before
+
+
+# A trace built from states is read lazily; a loaded one whose lines repeat
+# is read through columns, and one whose lines are distinct lazily again.
+NOT_A_CONDITION_TRACES = {
+    "built": Trace.of(set(), set(), set(), set()),
+    "built-empty": Trace.of(),
+    "loaded-repeating": load_trace("[]\n" * 4),
+    "loaded-distinct": load_trace('[]\n["a"]\n["b"]\n["c"]\n'),
+    "loaded-empty": load_trace(""),
+}
+
+
+@pytest.mark.parametrize("trace", NOT_A_CONDITION_TRACES.values(), ids=NOT_A_CONDITION_TRACES)
+@pytest.mark.parametrize("req", [
+    Requirement("r", Response(P, "x"), Globally()),
+    Requirement("r", Precedence("x", P), Globally()),
+    Requirement("r", ResponseChain(P, [S, "x"]), Globally()),
+    Requirement("r", Absence(P), Between(Q, "x")),
+    Requirement("r", Existence(P), Before("x")),
+], ids=["response", "precedence", "response_chain", "between", "before"])
+def test_every_read_rejects_a_non_condition_it_never_reaches(req, trace):
+    """Every read rejects a non-condition, on every kind of trace, empty
+    ones too: also one that no scan reaches, because p and q never hold."""
+    with pytest.raises(TypeError, match="^not a condition: 'x'$"):
+        check(req, trace)
+    with pytest.raises(TypeError, match="^not a condition: 'x'$"):
+        evaluate_pattern(req.pattern, trace, (0, len(trace))) if req.scope == Globally() else segments(req.scope, trace)
 
 
 @pytest.mark.parametrize("scope", ["globally", Ref("p"), Absence(P)])
