@@ -140,13 +140,19 @@ class Pattern:
         PATTERNS[tag], TAGS[cls] = cls, tag
 
 
-def _nowhere(scan: Scan, cond: Condition, truth: int, carved: list[Segment], reason: str) -> Verdict:
-    """Fails at the first position of a segment where the condition's truth
-    is `truth`; otherwise holds, vacuously iff every segment is empty."""
+def _runs(scan: Scan, cond: Condition, truth: int, bound: int, carved: list[Segment], reason: str) -> Verdict:
+    """Fails at the start of run `bound` + 1 of consecutive positions of a
+    segment where the condition's truth is `truth`, giving `reason` filled
+    with that run's number and the bound; otherwise holds, vacuously iff
+    every segment is empty."""
     find, x = scan.find, scan.read(cond)
     for idx, (lo, hi) in enumerate(carved):
-        if (k := find(x, truth, lo, hi)) >= 0:
-            return Fails(idx, k, reason)
+        runs, cursor = 0, lo
+        while (start := find(x, truth, cursor, hi)) >= 0:
+            if (runs := runs + 1) > bound:
+                return Fails(idx, start, reason.format(runs, bound))
+            if (cursor := find(x, 1 - truth, start + 1, hi)) < 0:
+                break
     return _HOLDS if any(starmap(lt, carved)) else _VACUOUS
 
 
@@ -156,7 +162,7 @@ class Absence(Pattern, tag="absence"):
     phrase = "it is never the case that {p} holds"
 
     def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
-        return _nowhere(scan, self.p, 1, carved, "forbidden condition holds")
+        return _runs(scan, self.p, 1, 0, carved, "forbidden condition holds")
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ class Universality(Pattern, tag="universality"):
     phrase = "it is always the case that {p} holds"
 
     def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
-        return _nowhere(scan, self.p, 0, carved, "required condition does not hold")
+        return _runs(scan, self.p, 0, 0, carved, "required condition does not hold")
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,7 @@ class BoundedExistence(Pattern, tag="bounded_existence"):
             raise ValueError("'k' must be an integer >= 0")
 
     def evaluate(self, scan: Scan, carved: list[Segment]) -> Verdict:
-        find, p, bound = scan.find, scan.read(self.p), self.k
-        for idx, (lo, hi) in enumerate(carved):
-            blocks, cursor = 0, lo
-            while (start := find(p, 1, cursor, hi)) >= 0:
-                blocks += 1
-                if blocks > bound:
-                    return Fails(idx, start, f"block {blocks} exceeds the bound of {bound}")
-                if (cursor := find(p, 0, start + 1, hi)) < 0:
-                    break
-        return _HOLDS if any(starmap(lt, carved)) else _VACUOUS
+        return _runs(scan, self.p, 1, self.k, carved, "block {} exceeds the bound of {}")
 
 
 @dataclass(frozen=True)
@@ -447,7 +444,7 @@ def map_conditions(req: Requirement, fn) -> Requirement:
 
 @functools.cache
 def parameters(cls: type) -> dict[str, dataclasses.Field]:
-    """The fields of a pattern, scope or TraceLinks class by name, in order."""
+    """The fields of a dataclass by name, in order."""
     return {f.name: f for f in dataclasses.fields(cls)}
 
 
@@ -471,8 +468,8 @@ def check(req: Requirement, trace: Trace) -> Verdict:
     were no segments or every segment held vacuously.
 
     The pattern and scope are validated once per call, and the pattern
-    decides every segment in one call, without `evaluate_pattern`'s checks,
-    since carved segments lie inside the trace. Each scope is carved once
+    decides all segments, even none, in one call, without `evaluate_pattern`'s
+    checks, since carved segments lie inside the trace. Each scope is carved once
     per trace: requirements checked on one Trace object share the segments
     of an equal scope over the same condition objects, and `load_suite`
     gives each condition name one shared object.
@@ -496,4 +493,4 @@ def check(req: Requirement, trace: Trace) -> Verdict:
     carved = trace._carved.get(key)
     if carved is None:
         carved = trace._carved[key] = (scope, scope.segments(scan, len(trace)))
-    return pattern.evaluate(scan, carved[1]) if carved[1] else _VACUOUS
+    return pattern.evaluate(scan, carved[1])

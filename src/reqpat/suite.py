@@ -1,21 +1,24 @@
 """Loading, validating, and writing requirement suites and traces.
 
-Suite files are JSON with two top-level keys:
+Suite files are JSON objects with the fields of ``Suite``, each optional:
 
 * ``conditions``: object mapping a condition name to condition text in the
   grammar ``true | false | atom | !e | e && e | e || e | (e)``, the
   propositional part of the formula grammar, where bare names are atoms
   observed on the system under test. ``conditions.CONDITIONS`` states its
   nesting bound.
-* ``requirements``: array of ``{name, pattern, scope, meta?}`` entries.
-  ``pattern`` and ``scope`` are tagged by ``type``: the tags are the keys of
-  the catalogue, ``patterns.PATTERNS`` and ``patterns.SCOPES``, and the other
+* ``requirements``: array of objects with the fields of ``Requirement``,
+  ``{name, pattern, scope, meta?}``; ``meta`` may also be null. ``pattern``
+  and ``scope`` are tagged by ``type``: the tags are the keys of the
+  catalogue, ``patterns.PATTERNS`` and ``patterns.SCOPES``, and the other
   keys are fields of the tagged dataclass (``p``, ``s``, ``k``, ``chain``,
-  ``strict`` for patterns; ``q``, ``r`` for scopes), each one required
-  unless it has a default. Condition parameters refer to entries of
-  ``conditions`` by name. ``meta`` may carry the fields of ``TraceLinks``:
-  ``source_url``, ``source_quote`` and ``repo_url``. A key that is not a
-  field is rejected.
+  ``strict`` for patterns; ``q``, ``r`` for scopes). Condition parameters
+  refer to entries of ``conditions`` by name. ``meta`` may carry the fields
+  of ``TraceLinks``: ``source_url``, ``source_quote`` and ``repo_url``.
+
+Each object is built from its class's fields, each read by the decoder of its
+annotation (``DECODERS``). At every level a key that is not a field is
+rejected, as is a missing field without a default.
 
 A name may be defined only once: a duplicate condition or requirement name is
 the file-level contradiction signal and is always rejected. No condition
@@ -30,10 +33,11 @@ lines load as one shared State, and each distinct state is written once.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, NoReturn
+from typing import Any, Callable, Collection, Iterable, Mapping, NoReturn
 
 from .conditions import (
     Condition,
@@ -155,6 +159,7 @@ def load_suite(text: str) -> Suite:
         raise MalformedSuite(_refused_json(exc)) from exc
     if not isinstance(data, dict):
         raise MalformedSuite("top level must be a JSON object")
+    _refuse_unknown(data, parameters(Suite), "top level", _malformed)
 
     raw_conditions = data.get("conditions", {})
     if not isinstance(raw_conditions, dict):
@@ -173,71 +178,37 @@ def load_suite(text: str) -> Suite:
     raw_requirements = data.get("requirements", [])
     if not isinstance(raw_requirements, list):
         raise MalformedSuite("'requirements' must be an array")
-
-    requirements = []
-    for index, entry in enumerate(raw_requirements):
-        location = f"requirements[{index}]"
-        if not isinstance(entry, dict):
-            raise MalformedSuite(f"{location}: must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise MalformedSuite(f"{location}: missing or empty 'name'")
-        if flaw := _unprintable(name):
-            raise MalformedSuite(f"{location}.name: {flaw}")
-        pattern = _load_variant(entry.get("pattern"), PATTERNS, "pattern", conditions, f"{location}.pattern")
-        scope = _load_variant(entry.get("scope"), SCOPES, "scope", conditions, f"{location}.scope")
-        meta = entry.get("meta")
-        if meta is None:
-            meta = TraceLinks()
-        elif isinstance(meta, dict):
-            meta = _load_fields(TraceLinks, meta, conditions, f"{location}.meta", _malformed_meta)
-        else:
-            raise MalformedSuite(f"{location}.meta: must be an object")
-        requirements.append(Requirement(name=name, pattern=pattern, scope=scope, meta=meta))
-
+    requirements = [_load_fields(Requirement, entry, conditions, f"requirements[{index}]", _malformed)
+                    for index, entry in enumerate(raw_requirements)]
     return Suite(conditions=conditions, requirements=requirements)
 
 
-def _resolve(raw: Any, conditions: Mapping[str, Condition], location: str, field: str) -> Condition:
-    if isinstance(raw, str) and raw in conditions:
-        return conditions[raw]
-    where = f"{location}.{field}"
-    if not isinstance(raw, str):
-        raise MalformedPattern(where, "condition reference must be a name string")
-    raise UnknownReference(raw, where)
+_Error = Callable[[str, str], SuiteError]
 
 
-def _malformed_meta(location: str, detail: str) -> MalformedSuite:
+def _malformed(location: str, detail: str) -> MalformedSuite:
     return MalformedSuite(f"{location}: {detail}")
 
 
-def _load_variant(raw: Any, catalogue: Mapping[str, type], kind: str,
-                  conditions: Mapping[str, Condition], location: str) -> Pattern | Scope:
+def _refuse_unknown(raw: dict[str, Any], allowed: Collection[str], location: str, error: _Error) -> None:
+    for key in raw:
+        if key not in allowed:
+            raise error(location, f"unknown field {key!r}")
+
+
+def _load_fields(cls: type, raw: Any, conditions: Mapping[str, Condition], location: str, error: _Error) -> Any:
+    """Build the dataclass `cls` from a JSON object with one key per field,
+    besides a variant's tag `type`; the constraints on values are the class's."""
     if not isinstance(raw, dict):
-        raise MalformedPattern(location, "must be an object with a 'type' tag")
-    tag = raw.get("type")
-    cls = catalogue.get(tag) if isinstance(tag, str) else None
-    if cls is None:
-        raise MalformedPattern(location, f"unknown {kind} type {tag!r}")
-    fields = dict(raw)
-    del fields["type"]
-    return _load_fields(cls, fields, conditions, location, MalformedPattern)
-
-
-def _load_fields(cls: type, raw: dict[str, Any], conditions: Mapping[str, Condition], location: str,
-                 error: Callable[[str, str], SuiteError]) -> Any:
-    """Build the dataclass `cls` from a JSON object with one key per field.
-    Raw values are type-checked here, because they come from outside; the
-    constraints on the values are the dataclass's own."""
-    fields = parameters(cls)
-    if not raw.keys() <= fields.keys():
-        unknown = next(key for key in raw if key not in fields)
-        raise error(location, f"unknown field {unknown!r}")
+        raise error(location, "must be an object")
+    allowed, plan = _plan(cls)
+    if not raw.keys() <= allowed:
+        _refuse_unknown(raw, allowed, location, error)
     args = {}
-    for name, f in fields.items():
+    for name, decode, required in plan:
         if name in raw:
-            args[name] = _load_value(f, raw[name], conditions, location, error)
-        elif f.default is dataclasses.MISSING:
+            args[name] = decode(raw[name], conditions, location, name, error)
+        elif required:
             raise error(location, f"missing field {name!r}")
     try:
         return cls(**args)
@@ -245,24 +216,64 @@ def _load_fields(cls: type, raw: dict[str, Any], conditions: Mapping[str, Condit
         raise error(location, str(exc)) from exc
 
 
-def _load_value(f: dataclasses.Field, value: Any, conditions: Mapping[str, Condition], location: str,
-                error: Callable[[str, str], SuiteError]) -> Any:
-    if f.type == "Condition":
-        return _resolve(value, conditions, location, f.name)
-    if f.type == "tuple[Condition, ...]":
-        if not isinstance(value, list):
-            raise error(location, f"{f.name!r} must be a nonempty array of names")
-        return [_resolve(item, conditions, location, f.name) for item in value]
-    if f.type == "int" and type(value) is not int:
-        raise error(location, f"{f.name!r} must be an integer >= 0")
-    if f.type == "bool" and type(value) is not bool:
-        raise error(location, f"{f.name!r} must be a boolean")
-    if f.type == "str | None" and value is not None:
-        if type(value) is not str:
-            raise error(f"{location}.{f.name}", "must be a string")
-        if flaw := _unprintable(value):
-            raise error(f"{location}.{f.name}", flaw)
+@functools.cache
+def _plan(cls: type) -> tuple[frozenset[str], list[tuple[str, Callable, bool]]]:
+    """The keys an object of `cls` may hold; each field's decoder, and whether it is required."""
+    plan = [(name, DECODERS[f.type], f.default is dataclasses.MISSING) for name, f in parameters(cls).items()]
+    return frozenset(parameters(cls)) | ({"type"} if cls in TAGS else frozenset()), plan
+
+
+# Each decoder reads `value`, the JSON value of field `name` of the object at
+# `location`, type-checking it, because it comes from outside.
+def _resolve(raw: Any, conditions: Mapping[str, Condition], location: str, name: str, error: _Error) -> Condition:
+    if isinstance(raw, str) and raw in conditions:
+        return conditions[raw]
+    if not isinstance(raw, str):
+        raise error(f"{location}.{name}", "condition reference must be a name string")
+    raise UnknownReference(raw, f"{location}.{name}")
+
+
+def _load_exactly(kind: type, noun: str, value, conditions, location, name, error) -> Any:
+    if type(value) is not kind:
+        raise error(location, f"{name!r} must be {noun}")
     return value
+
+
+def _load_text(optional: bool, value, conditions, location, name, error) -> str | None:
+    if not optional and (type(value) is not str or not value):
+        raise error(location, f"missing or empty {name!r}")
+    if value is not None and (flaw := _unprintable(value) if type(value) is str else "must be a string"):
+        raise error(f"{location}.{name}", flaw)
+    return value
+
+
+def _load_variant(catalogue: Mapping[str, type], kind: str, raw: Any, conditions: Mapping[str, Condition],
+                  location: str, name: str, error: _Error) -> Pattern | Scope:
+    location = f"{location}.{name}"
+    if not isinstance(raw, dict):
+        raise MalformedPattern(location, "must be an object with a 'type' tag")
+    tag = raw.get("type")
+    cls = catalogue.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise MalformedPattern(location, f"unknown {kind} type {tag!r}")
+    return _load_fields(cls, raw, conditions, location, MalformedPattern)
+
+
+_load_list = functools.partial(_load_exactly, list, "a nonempty array of names")
+
+# The decoder of each field annotation of Requirement, TraceLinks and every variant.
+DECODERS: dict[str, Callable] = {
+    "Condition": _resolve,
+    "tuple[Condition, ...]": lambda value, *context: [_resolve(item, *context) for item in _load_list(value, *context)],
+    "int": functools.partial(_load_exactly, int, "an integer >= 0"),
+    "bool": functools.partial(_load_exactly, bool, "a boolean"),
+    "str": functools.partial(_load_text, False),
+    "str | None": functools.partial(_load_text, True),
+    "Pattern": functools.partial(_load_variant, PATTERNS, "pattern"),
+    "Scope": functools.partial(_load_variant, SCOPES, "scope"),
+    "TraceLinks": lambda value, conditions, location, name, error: TraceLinks() if value is None else _load_fields(
+        TraceLinks, value, conditions, f"{location}.{name}", error),
+}
 
 
 def dump_suite(suite: Suite) -> str:
@@ -283,21 +294,12 @@ def dump_suite(suite: Suite) -> str:
     entries = []
     for req in suite.requirements:
         where = f"requirement {req.name!r}"
-        entry: dict[str, Any] = {
-            "name": req.name,
-            "pattern": variant_json(req.pattern, where),
-            "scope": variant_json(req.scope, where),
-        }
-        meta = {key: value for key, value in dataclasses.asdict(req.meta).items() if value is not None}
-        if meta:
+        entry = {"name": req.name, "pattern": variant_json(req.pattern, where), "scope": variant_json(req.scope, where)}
+        if meta := {key: value for key, value in dataclasses.asdict(req.meta).items() if value is not None}:
             entry["meta"] = meta
         entries.append(entry)
-
-    document = {
-        "conditions": {name: format_condition(expr) for name, expr in suite.conditions.items()},
-        "requirements": entries,
-    }
-    return json.dumps(document, indent=2) + "\n"
+    conditions = {name: format_condition(expr) for name, expr in suite.conditions.items()}
+    return json.dumps({"conditions": conditions, "requirements": entries}, indent=2) + "\n"
 
 
 _decode = json.JSONDecoder().decode

@@ -443,6 +443,33 @@ def test_unknown_field_exits_2(capsys, tmp_path, part, key, field):
     assert captured.err == f"error: requirements[{part}].{key}: unknown field {field!r}\n"
 
 
+@pytest.mark.parametrize("where, key, message", [
+    ("document", "requirments", "top level: unknown field 'requirments'"),
+    ("entry", "metta", "requirements[1]: unknown field 'metta'"),
+])
+def test_unknown_document_or_requirement_key_exits_2(capsys, tmp_path, where, key, message):
+    """A misspelt key would otherwise drop requirements or their links
+    without a word: with no requirements, `check` would print nothing and exit 0."""
+    doc = json.loads(builtin_suite_text())
+    if where == "document":
+        doc[key] = doc.pop("requirements")
+    else:
+        doc["requirements"][1][key] = doc["requirements"][1].pop("meta")
+    suite = tmp_path / "typo.json"
+    suite.write_text(json.dumps(doc))
+    code = main(["check", "--suite", str(suite), "--trace", trace_file(tmp_path, 3)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_condition_body_that_is_not_a_string_exits_2(capsys, tmp_path):
+    suite = tmp_path / "body.json"
+    suite.write_text(json.dumps({"conditions": {"x": 1}, "requirements": []}))
+    _exits_2_with_one_error_line(capsys, ["render", "--suite", str(suite)])
+    with pytest.raises(MalformedCondition, match="^condition 'x': body must be a string$"):
+        load_suite(suite.read_text())
+
+
 def _deep_suite(tmp_path, terms: int) -> str:
     """Two conditions with the same flat conjunction of `terms` atoms, under
     names that are not atoms, so emit prints the conjunction itself."""

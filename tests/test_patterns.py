@@ -259,6 +259,26 @@ def test_every_read_rejects_a_non_condition_it_never_reaches(req, trace):
         evaluate_pattern(req.pattern, trace, (0, len(trace))) if req.scope == Globally() else segments(req.scope, trace)
 
 
+@pytest.mark.parametrize("trace", [Trace.of(set()), load_trace("[]\n")], ids=["built", "loaded"])
+@pytest.mark.parametrize("pattern", [Response(P, "x"), Universality("x"), BoundedExistence("x", 1)],
+                         ids=["response", "universality", "bounded_existence"])
+def test_a_pattern_reads_its_conditions_where_the_scope_carves_nothing(pattern, trace):
+    """The pattern decides every carving, the empty one too, as it does under
+    `globally`, so its conditions are checked on every trace."""
+    req = Requirement("r", pattern, AfterUntil(Q, R))
+    assert segments(req.scope, trace) == []
+    with pytest.raises(TypeError, match="^not a condition: 'x'$"):
+        check(req, trace)
+    with pytest.raises(TypeError, match="^not a condition: 'x'$"):
+        check(Requirement("r", pattern, Globally()), trace)
+
+
+def test_evaluate_pattern_refuses_a_segment_outside_the_trace():
+    with pytest.raises(ValueError) as exc_info:
+        evaluate_pattern(Absence(P), Trace.of(set()), (0, 2))
+    assert str(exc_info.value) == "segment (0, 2) out of bounds for trace of length 1"
+
+
 @pytest.mark.parametrize("scope", ["globally", Ref("p"), Absence(P)])
 def test_segments_rejects_what_is_not_a_scope(scope):
     with pytest.raises(TypeError) as exc_info:

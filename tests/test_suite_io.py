@@ -15,6 +15,7 @@ from reqpat.patterns import (
     AfterUntil,
     Between,
     BoundedExistence,
+    Globally,
     PrecedenceChain,
     Requirement,
     ResponseChain,
@@ -138,6 +139,57 @@ def test_unknown_fields_rejected():
     with pytest.raises(MalformedSuite) as exc_info:
         load_suite(_requirement_text(existence, meta={"source_ur": "https://example.org"}))
     assert str(exc_info.value) == "requirements[0].meta: unknown field 'source_ur'"
+
+
+def test_unknown_keys_of_the_document_and_of_a_requirement_rejected():
+    """A misspelt `requirements` would otherwise load as an empty suite, and a
+    misspelt `meta` would drop the requirement's links."""
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(json.dumps({"conditions": {}, "requirments": json.loads(suite_text())["requirements"]}))
+    assert str(exc_info.value) == "top level: unknown field 'requirments'"
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(_requirement_text({"type": "existence", "p": "midnight"}, metta={"source_url": "https://x.org"}))
+    assert str(exc_info.value) == "requirements[0]: unknown field 'metta'"
+
+
+@pytest.mark.parametrize("key", ["name", "pattern", "scope"])
+def test_a_missing_requirement_key_is_named(key):
+    doc = json.loads(suite_text())
+    del doc["requirements"][0][key]
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(json.dumps(doc))
+    assert str(exc_info.value) == f"requirements[0]: missing field {key!r}"
+
+
+def test_absent_or_null_meta_gives_the_default_links():
+    doc = json.loads(suite_text())
+    assert load_suite(json.dumps(doc)).requirements[0].meta == TraceLinks()
+    doc["requirements"][0]["meta"] = None
+    assert load_suite(json.dumps(doc)).requirements[0].meta == TraceLinks()
+    doc["requirements"][0]["meta"] = ["https://x.org"]
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(json.dumps(doc))
+    assert str(exc_info.value) == "requirements[0].meta: must be an object"
+
+
+def test_every_field_annotation_has_a_decoder():
+    """Requirements, their links and every catalogue variant are built by one
+    loader, which reads each field by the decoder of its annotation."""
+    for cls in [*PATTERNS.values(), *SCOPES.values(), Requirement, TraceLinks]:
+        for f in dataclasses.fields(cls):
+            assert f.type in suite_io.DECODERS, (cls.__name__, f.name, f.type)
+
+
+def test_a_condition_body_that_is_not_a_string_rejected():
+    with pytest.raises(MalformedCondition) as exc_info:
+        load_suite(suite_text(requirements=[], conditions={"x": ["p"]}))
+    assert str(exc_info.value) == "condition 'x': body must be a string"
+
+
+def test_dump_suite_refuses_a_pattern_outside_the_catalogue():
+    with pytest.raises(SuiteError) as exc_info:
+        dump_suite(Suite({}, [Requirement("r", "junk", Globally())]))
+    assert str(exc_info.value) == "requirement 'r': cannot serialize 'junk'"
 
 
 def test_condition_nesting_is_bounded():
