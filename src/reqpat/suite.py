@@ -35,11 +35,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Mapping, NoReturn
 
 from .conditions import (
+    ATOM_RE,
     Condition,
     ConditionSyntaxError,
     State,
@@ -241,7 +243,7 @@ def _load_exactly(kind: type, noun: str, value, conditions, location, name, erro
 
 def _load_text(optional: bool, value, conditions, location, name, error) -> str | None:
     if not optional and (type(value) is not str or not value):
-        raise error(location, f"missing or empty {name!r}")
+        raise error(location, f"{name!r} must be a nonempty string")
     if value is not None and (flaw := _unprintable(value) if type(value) is str else "must be a string"):
         raise error(f"{location}.{name}", flaw)
     return value
@@ -252,7 +254,9 @@ def _load_variant(catalogue: Mapping[str, type], kind: str, raw: Any, conditions
     location = f"{location}.{name}"
     if not isinstance(raw, dict):
         raise MalformedPattern(location, "must be an object with a 'type' tag")
-    tag = raw.get("type")
+    if "type" not in raw:
+        raise MalformedPattern(location, "missing field 'type'")
+    tag = raw["type"]
     cls = catalogue.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise MalformedPattern(location, f"unknown {kind} type {tag!r}")
@@ -304,6 +308,13 @@ def dump_suite(suite: Suite) -> str:
 
 _decode = json.JSONDecoder().decode
 
+# Finds, in "\n" followed by lines joined by "\n", each line that is not in
+# the form write_trace writes: `[]` or `["a","b",...]`, every atom an ATOM_RE
+# name, with no whitespace and no escapes. A line in that form is the JSON
+# array of the atoms between its quotes.
+_ATOM = f'"{ATOM_RE.pattern}"'
+_UNWRITTEN = re.compile(rf"\n(?!\[(?:{_ATOM}(?:,{_ATOM})*)?\]$)(.*)", re.MULTILINE)
+
 
 def load_trace(text: str) -> Trace:
     """Parse a JSON-Lines trace; one array of atom names per line.
@@ -312,21 +323,26 @@ def load_trace(text: str) -> Trace:
     one; a "\r" before it is JSON whitespace, so CRLF files load too. Each
     distinct line text is parsed once, in order of first occurrence, so the
     earliest bad line is the one reported; identical lines share one State.
+    A line in the form write_trace writes is read by splitting it between
+    its atoms; every other line is decoded as JSON, with the same result.
     The trace keeps its distinct states and each line's index among them
     (`Trace.from_codes`), so `patterns.check` reads a condition once per
     distinct line.
     """
     lines = text.removesuffix("\n").split("\n") if text else []
-    codes = dict.fromkeys(lines)
+    codes = {line: code for code, line in enumerate(dict.fromkeys(lines))}
+    unwritten = set(_UNWRITTEN.findall("\n" + "\n".join(codes)))
     distinct = []
-    for code, line in enumerate(codes):
-        try:
-            atoms = _decode(line)
-        except (ValueError, RecursionError):  # an integer too long for `int` too
-            atoms = None
-        if type(atoms) is not list or not all(map(is_valid_atom, atoms)):
-            _refuse_line(lines.index(line) + 1, line)
-        codes[line] = code
+    for line in codes:
+        if line not in unwritten:
+            atoms = line[2:-2].split('","') if line != "[]" else ()
+        else:
+            try:
+                atoms = _decode(line)
+            except (ValueError, RecursionError):  # an integer too long for `int` too
+                atoms = None
+            if type(atoms) is not list or not all(map(is_valid_atom, atoms)):
+                _refuse_line(lines.index(line) + 1, line)
         distinct.append(State(atoms))
     return Trace.from_codes(distinct, map(codes.__getitem__, lines))
 

@@ -161,6 +161,25 @@ def test_a_missing_requirement_key_is_named(key):
     assert str(exc_info.value) == f"requirements[0]: missing field {key!r}"
 
 
+@pytest.mark.parametrize("name", [3, "", None, ["X"]])
+def test_a_requirement_name_that_is_no_nonempty_string_is_named(name):
+    doc = json.loads(suite_text())
+    doc["requirements"][0]["name"] = name
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(json.dumps(doc))
+    assert str(exc_info.value) == "requirements[0]: 'name' must be a nonempty string"
+
+
+@pytest.mark.parametrize("key", ["pattern", "scope"])
+def test_a_pattern_or_scope_without_a_type_is_named(key):
+    doc = json.loads(suite_text())
+    del doc["requirements"][0][key]["type"]
+    with pytest.raises(MalformedPattern) as exc_info:
+        load_suite(json.dumps(doc))
+    assert exc_info.value.location == f"requirements[0].{key}"
+    assert str(exc_info.value) == f"requirements[0].{key}: missing field 'type'"
+
+
 def test_absent_or_null_meta_gives_the_default_links():
     doc = json.loads(suite_text())
     assert load_suite(json.dumps(doc)).requirements[0].meta == TraceLinks()
@@ -380,6 +399,67 @@ def test_load_trace_names_a_line_with_a_non_name_before_its_invalid_atoms():
         with pytest.raises(TraceFormatError) as exc_info:
             load_trace(f'["p"]\n{line}\n["p"]\n{line}\n')
         assert str(exc_info.value) == f"line 2: {message}"
+
+
+def _respell(line: str, ways: frozenset[str]) -> str:
+    """A line of write_trace's output spelt another way that JSON reads as
+    the same atoms."""
+    if "repeat" in ways and line != "[]":
+        first = line[1:line.index('"', 2) + 1]
+        line = f"{line[:-1]},{first}]"
+    if "escape" in ways:
+        line = line.replace("p", "\\u0070", 1)
+    if "space after [" in ways:
+        line = line.replace("[", "[ ")
+    if "space after ," in ways:
+        line = line.replace(",", ", ")
+    return line + ("\r" if "crlf" in ways else "")
+
+
+@given(
+    st.lists(st.frozensets(st.sampled_from(["p", "q", "at_2400", "_x1", "stop"])), max_size=12),
+    st.lists(st.frozensets(st.sampled_from(["repeat", "escape", "space after [", "space after ,", "crlf"])), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_trace_spelt_other_ways_loads_as_written(atom_sets, ways):
+    """Each distinct line is respelt its own way, the same at every
+    occurrence, so the loaded traces share their distinct states too."""
+    written = write_trace(Trace(State(atoms) for atoms in atom_sets))
+    lines = written.splitlines()
+    distinct = list(dict.fromkeys(lines))
+    other = "".join(_respell(line, ways[distinct.index(line) % len(ways)]) + "\n" for line in lines)
+    expected, loaded = load_trace(written), load_trace(other)
+    assert loaded == expected == Trace(State(atoms) for atoms in atom_sets)
+    assert loaded._distinct == expected._distinct
+    assert loaded._codes == expected._codes
+
+
+@pytest.mark.parametrize("line", ['["P"]', '[""]', '["p"', '["p"]]', '["p"],["q"]'])
+def test_a_bad_line_among_written_lines_keeps_its_number_and_message(line):
+    with pytest.raises(TraceFormatError) as alone:
+        load_trace(line)
+    with pytest.raises(TraceFormatError) as exc_info:
+        load_trace(f'["p"]\n[]\n["p","q"]\n{line}\n["q"]\n{line}\n["p"]\n')
+    assert exc_info.value.line == 4
+    assert str(exc_info.value) == f"line 4: {str(alone.value).removeprefix('line 1: ')}"
+
+
+def test_written_lines_are_not_decoded(monkeypatch):
+    decoded = []
+    decode = suite_io._decode
+
+    def counting(line):
+        decoded.append(line)
+        return decode(line)
+
+    monkeypatch.setattr(suite_io, "_decode", counting)
+    rng = random.Random(20261020)
+    for _ in range(100):
+        trace = _mixed_trace(rng)
+        assert load_trace(write_trace(trace)) == trace
+    assert decoded == []
+    assert load_trace('["p"]\n[ "p"]\n["p"]\n') == Trace.of({"p"}, {"p"}, {"p"})
+    assert decoded == ['[ "p"]']
 
 
 def test_write_trace_sorts_atoms():
