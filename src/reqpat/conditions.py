@@ -105,14 +105,12 @@ class State:
 class Trace:
     """A finite, possibly empty sequence of states, indexed from 0.
 
-    `_carved` is `patterns.check`'s memo of the segments each scope carves
-    from this trace. A trace made by `from_codes`, as `suite.load_trace`
-    makes every trace, also keeps its distinct states, `_distinct`, the
-    index of each position's state among them, `_codes`, and
-    `patterns.check`'s memo of each condition's truth column, `_columns`;
-    a trace built from states has `_codes` None. None of these is a field,
-    so equality, hash and repr ignore them, and a copy or a pickle starts
-    with an empty memo and without codes.
+    A trace made by `from_codes`, as `suite.load_trace` makes every trace,
+    also keeps its distinct states, `_distinct`, and the index of each
+    position's state among them, `_codes`; a trace built from states has
+    `_codes` None. `_memo` is a cache that only `patterns` reads and writes.
+    None of these is a field, so equality, hash and repr ignore them, and a
+    copy or a pickle starts with an empty memo and without codes.
     """
 
     states: tuple[State, ...]
@@ -122,7 +120,7 @@ class Trace:
         # Frozen, so the instance dict is filled directly.
         attrs = self.__dict__
         attrs["states"] = tuple(states)
-        attrs["_carved"] = {}
+        attrs["_memo"] = {}
 
     def __reduce__(self):
         return type(self), (self.states,)
@@ -139,7 +137,7 @@ class Trace:
         distinct = tuple(distinct)
         codes = bytes(codes) if len(distinct) <= 256 else list(codes)
         trace = cls([distinct[code] for code in codes])
-        trace.__dict__.update(_distinct=distinct, _codes=codes, _columns={})
+        trace.__dict__.update(_distinct=distinct, _codes=codes)
         return trace
 
     def __len__(self) -> int:

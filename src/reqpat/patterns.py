@@ -96,8 +96,8 @@ class _Columns:
     """Reads a condition once per distinct state of a trace made by
     `Trace.from_codes` into its truth column, one byte per position, spread
     over the codes in C, and scans the column with `bytes.find` and `rfind`.
-    Columns are memoized on the trace by the condition's identity, so no
-    condition is hashed; the entry keeps it alive."""
+    Columns are memoized in the trace's `_memo` by the condition's identity,
+    so no condition is hashed; the entry keeps it alive."""
 
     __slots__ = ("trace",)
     find, rfind = staticmethod(bytes.find), staticmethod(bytes.rfind)
@@ -107,12 +107,12 @@ class _Columns:
 
     def read(self, cond: Condition) -> bytes:
         trace = self.trace
-        entry = trace._columns.get(id(cond))
+        entry = trace._memo.get(id(cond))
         if entry is None:
             _checked(cond)
             truth, codes = bytes([eval_condition(cond, state) for state in trace._distinct]), trace._codes
             column = codes.translate(truth.ljust(256)) if type(codes) is bytes else bytes(map(truth.__getitem__, codes))
-            entry = trace._columns[id(cond)] = (cond, column)
+            entry = trace._memo[id(cond)] = (cond, column)
         return entry[1]
 
 
@@ -487,10 +487,10 @@ def check(req: Requirement, trace: Trace) -> Verdict:
         raise TypeError(f"not a pattern: {pattern!r}")
     codes = trace._codes
     scan = _Lazy(trace) if codes is None or 2 * len(trace._distinct) > len(codes) else _Columns(trace)
-    # Keyed by the identities of the scope's fields, so no condition tree is
-    # hashed; the entry keeps the scope, and so every id in its key, alive.
+    # Keyed in `_memo` by the identities of the scope's fields, so no condition
+    # tree is hashed; the entry keeps the scope, and so every id in its key, alive.
     key = (type(scope), *map(id, vars(scope).values()))
-    carved = trace._carved.get(key)
+    carved = trace._memo.get(key)
     if carved is None:
-        carved = trace._carved[key] = (scope, scope.segments(scan, len(trace)))
+        carved = trace._memo[key] = (scope, scope.segments(scan, len(trace)))
     return pattern.evaluate(scan, carved[1])

@@ -21,9 +21,10 @@ annotation (``DECODERS``). At every level a key that is not a field is
 rejected, as is a missing field without a default.
 
 A name may be defined only once: a duplicate condition or requirement name is
-the file-level contradiction signal and is always rejected. No condition
-name, requirement name or ``meta`` string may contain a line break or a lone
-surrogate, and no integer may have more digits than ``int`` converts.
+the file-level contradiction signal and is always rejected. A condition or
+requirement name must be nonempty. No name or ``meta`` string may contain a
+line break or a lone surrogate, and no integer may have more digits than
+``int`` converts.
 
 Trace files are JSON Lines: one array of atom names per line, one line per
 state, atoms sorted on output. Atoms absent from a line are false. Identical
@@ -168,7 +169,7 @@ def load_suite(text: str) -> Suite:
         raise MalformedSuite("'conditions' must be an object")
     conditions: dict[str, Condition] = {}
     for name, body in raw_conditions.items():
-        if flaw := _unprintable(name):
+        if flaw := (_unprintable(name) if name else "must not be empty"):
             raise MalformedCondition(name, f"name {flaw}")
         if not isinstance(body, str):
             raise MalformedCondition(name, "body must be a string")

@@ -18,7 +18,7 @@ import pytest
 
 from reqpat.cli import main
 from reqpat.clock import Clock, builtin_suite, builtin_suite_text, clock_display
-from reqpat.conditions import Ref, State, Trace
+from reqpat.conditions import Ref, Trace
 from reqpat.ltl import emit_ltl, eval_ltlf, parse, print_formula
 from reqpat.patterns import (
     Absence,
@@ -41,13 +41,8 @@ from reqpat.patterns import (
 from reqpat.picnic import render_requirement
 from reqpat.suite import DuplicateDefinition, dump_suite, load_suite, load_trace, write_trace
 
-from helpers import (
-    all_traces,
-    brute_precedence_chain_holds,
-    brute_response_chain_holds,
-    random_formula,
-    random_trace,
-)
+from helpers import all_traces, random_formula, random_trace, state_universe
+from reference import brute_precedence_chain_holds, brute_response_chain_holds
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
 
@@ -84,16 +79,6 @@ ALL_SCOPES = [
 ]
 
 
-def _state_universe(atoms):
-    import itertools
-
-    return [
-        State(frozenset(bits))
-        for size in range(len(atoms) + 1)
-        for bits in itertools.combinations(atoms, size)
-    ]
-
-
 def _cell_mismatches(job) -> int:
     """Count check/eval_ltlf disagreements for one pattern x scope cell over
     every trace of length 1-5; with `first` set, only over the slice of
@@ -104,7 +89,7 @@ def _cell_mismatches(job) -> int:
     pattern, scope, atoms, first = job
     requirement = Requirement("cell", pattern, scope)
     formula = emit_ltl(requirement)
-    universe = _state_universe(atoms)
+    universe = state_universe(atoms)
 
     def traces():
         if first is None:

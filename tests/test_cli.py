@@ -94,9 +94,8 @@ def test_check_missing_file_is_usage_error(capsys, clock_suite):
 ], ids=["nul", "lone-surrogate"])
 def test_a_file_name_no_file_can_have_is_usage_error(capsys, clock_suite, path, reason):
     """Found by tests/test_cli_fuzz.py: these were internal errors."""
-    code = main(["check", "--suite", clock_suite, "--trace", path])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {path!r}: not a file name ({reason})\n"
+    _exits_2_with_one_error_line(capsys, ["check", "--suite", clock_suite, "--trace", path],
+                                 f"{path!r}: not a file name ({reason})")
 
 
 def test_check_json_agrees_with_human_output(capsys, tmp_path, clock_suite):
@@ -121,11 +120,8 @@ def test_check_non_utf8_input_is_usage_error(capsys, tmp_path, clock_suite):
     bad.write_bytes(b"\xff\n")
     good_trace = trace_file(tmp_path, 3)
     for suite, trace in ((clock_suite, str(bad)), (str(bad), good_trace)):
-        code = main(["check", "--suite", suite, "--trace", trace])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1
+        err = _exits_2_with_one_error_line(capsys, ["check", "--suite", suite, "--trace", trace])
+        assert err.startswith(f"error: {bad}: ")
 
 
 def test_check_vacuous_only_exits_3(capsys, tmp_path):
@@ -319,11 +315,23 @@ def test_report(capsys, clock_suite):
     assert code == 0
 
 
-def _exits_2_with_one_error_line(capsys, argv):
+def _exits_2_with_one_error_line(capsys, argv, message: str | None = None) -> str:
+    """Run `argv`: it must exit 2 with nothing on stdout and one `error:`
+    line on stderr, `message` if given. Returns that line."""
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, ""), argv
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (argv, captured.err)
+    assert message is None or captured.err == f"error: {message}\n", (argv, captured.err)
+    return captured.err
+
+
+def _every_command_exits_2(capsys, tmp_path, suite, message: str | None = None):
+    """Every command that loads the suite file `suite` refuses it so."""
+    trace = trace_file(tmp_path, 3)
+    for command in (["check", "--trace", trace], ["check", "--json", "--trace", trace],
+                    ["drive", "--sut", "clock", "--bound", "5"], ["render"], ["emit"], ["report"]):
+        _exits_2_with_one_error_line(capsys, [command[0], "--suite", str(suite), *command[1:]], message)
 
 
 def test_load_error_exits_2(capsys, tmp_path, clock_suite):
@@ -335,11 +343,8 @@ def test_load_error_exits_2(capsys, tmp_path, clock_suite):
     (where / "bad.json").write_text('{"conditions": {"m": "9bad"}, "requirements": []}')
     (where / "bad.jsonl").write_text('["at_2400"]\nnot json\n')
     missing, directory, latin1 = str(where / "missing.json"), str(where), str(where / "latin1.json")
-    good_trace = trace_file(tmp_path, 3)
     for suite in (missing, directory, latin1, str(where / "bad.json")):
-        for command in (["check", "--trace", good_trace], ["drive", "--sut", "clock", "--bound", "5"],
-                        ["render"], ["emit"], ["report"]):
-            _exits_2_with_one_error_line(capsys, [command[0], "--suite", suite, *command[1:]])
+        _every_command_exits_2(capsys, tmp_path, suite)
     for trace in (missing, directory, latin1, str(where / "bad.jsonl")):
         _exits_2_with_one_error_line(capsys, ["check", "--suite", clock_suite, "--trace", trace])
 
@@ -349,29 +354,27 @@ def test_requirement_name_with_a_line_break_exits_2(capsys, tmp_path):
     doc["requirements"][1]["name"] = "R\n| evil | row"
     suite = tmp_path / "broken_lines.json"
     suite.write_text(json.dumps(doc))
-    for command in (["check", "--trace", trace_file(tmp_path, 3)], ["render"], ["emit"], ["report"]):
-        _exits_2_with_one_error_line(capsys, [command[0], "--suite", str(suite), *command[1:]])
+    _every_command_exits_2(capsys, tmp_path, suite)
+
+
+def test_an_empty_condition_name_exits_2(capsys, tmp_path):
+    suite = tmp_path / "nameless.json"
+    suite.write_text(json.dumps({"conditions": {"": "p"}, "requirements": [
+        {"name": "r", "pattern": {"type": "absence", "p": ""}, "scope": {"type": "globally"}}]}))
+    _every_command_exits_2(capsys, tmp_path, suite, "condition '': name must not be empty")
 
 
 def test_suite_json_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):
     suite = tmp_path / "deep.json"
     suite.write_text('{"conditions": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    for command in (["check", "--trace", trace_file(tmp_path, 3)], ["render"]):
-        code = main([command[0], "--suite", str(suite), *command[1:]])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "error: JSON nests too deeply\n"
+    _every_command_exits_2(capsys, tmp_path, suite, "JSON nests too deeply")
 
 
 def test_trace_line_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):
     trace = tmp_path / "deep.jsonl"
     trace.write_text('["at_2400"]\n' + "[" * 100_000 + "]" * 100_000 + "\n")
-    code = main(["check", "--suite", clock_suite, "--trace", str(trace)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: line 2: JSON nests too deeply\n"
+    _exits_2_with_one_error_line(capsys, ["check", "--suite", clock_suite, "--trace", str(trace)],
+                                 "line 2: JSON nests too deeply")
 
 
 # Python 3.10.7 and later refuse to convert an integer of more digits than
@@ -387,21 +390,15 @@ def test_suite_integer_longer_than_int_converts_exits_2(capsys, tmp_path):
         '{"conditions": {"m": "at_2400"}, "requirements": [{"name": "R", "scope": {"type": "globally"}, '
         '"pattern": {"type": "bounded_existence", "p": "m", "k": ' + "9" * (INT_DIGITS + 1) + "}}]}"
     )
-    for command in (["check", "--trace", trace_file(tmp_path, 3)], ["render"], ["emit"], ["report"]):
-        code = main([command[0], "--suite", str(suite), *command[1:]])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, ""), command
-        assert captured.err == f"error: integer longer than the {INT_DIGITS}-digit limit\n", command
+    _every_command_exits_2(capsys, tmp_path, suite, f"integer longer than the {INT_DIGITS}-digit limit")
 
 
 @needs_int_limit
 def test_trace_integer_longer_than_int_converts_exits_2_naming_its_line(capsys, tmp_path, clock_suite):
     trace = tmp_path / "long.jsonl"
     trace.write_text('["at_2400"]\n[' + "9" * (INT_DIGITS + 1) + "]\n")
-    code = main(["check", "--suite", clock_suite, "--trace", str(trace)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: line 2: integer longer than the {INT_DIGITS}-digit limit\n"
+    _exits_2_with_one_error_line(capsys, ["check", "--suite", clock_suite, "--trace", str(trace)],
+                                 f"line 2: integer longer than the {INT_DIGITS}-digit limit")
 
 
 @pytest.mark.parametrize("where", ["requirement name", "condition name", "meta string"])
@@ -420,9 +417,7 @@ def test_lone_surrogate_in_a_printed_string_exits_2(capsys, tmp_path, where):
         doc["requirements"][0]["meta"]["repo_url"] = "https://example.org/\ud800"
     suite = tmp_path / "surrogate.json"
     suite.write_text(json.dumps(doc))
-    trace = trace_file(tmp_path, 3)
-    for command in (["check", "--trace", trace], ["check", "--json", "--trace", trace], ["render"], ["emit"], ["report"]):
-        _exits_2_with_one_error_line(capsys, [command[0], "--suite", str(suite), *command[1:]])
+    _every_command_exits_2(capsys, tmp_path, suite)
     with pytest.raises(SuiteError, match="must not contain a lone surrogate"):
         load_suite(suite.read_text())
 
@@ -436,11 +431,8 @@ def test_unknown_field_exits_2(capsys, tmp_path, part, key, field):
     doc["requirements"][part][key][field] = True if field == "stict" else "midnight"
     suite = tmp_path / "typo.json"
     suite.write_text(json.dumps(doc))
-    code = main(["check", "--suite", str(suite), "--trace", trace_file(tmp_path, 3)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: requirements[{part}].{key}: unknown field {field!r}\n"
+    _exits_2_with_one_error_line(capsys, ["check", "--suite", str(suite), "--trace", trace_file(tmp_path, 3)],
+                                 f"requirements[{part}].{key}: unknown field {field!r}")
 
 
 @pytest.mark.parametrize("where, key, message", [
@@ -457,9 +449,7 @@ def test_unknown_document_or_requirement_key_exits_2(capsys, tmp_path, where, ke
         doc["requirements"][1][key] = doc["requirements"][1].pop("meta")
     suite = tmp_path / "typo.json"
     suite.write_text(json.dumps(doc))
-    code = main(["check", "--suite", str(suite), "--trace", trace_file(tmp_path, 3)])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    _exits_2_with_one_error_line(capsys, ["check", "--suite", str(suite), "--trace", trace_file(tmp_path, 3)], message)
 
 
 def test_condition_body_that_is_not_a_string_exits_2(capsys, tmp_path):
@@ -489,12 +479,9 @@ def _deep_suite(tmp_path, terms: int) -> str:
 
 
 def test_condition_nesting_too_deeply_exits_2(capsys, tmp_path):
-    code = main(["check", "--suite", _deep_suite(tmp_path, 1500), "--trace", trace_file(tmp_path, 3)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: condition 'deep chain': condition nests too deeply")
-    assert captured.err.count("\n") == 1
+    err = _exits_2_with_one_error_line(capsys, ["check", "--suite", _deep_suite(tmp_path, 1500),
+                                                "--trace", trace_file(tmp_path, 3)])
+    assert err.startswith("error: condition 'deep chain': condition nests too deeply")
 
 
 def test_deepest_loadable_condition_checks_and_emits(capsys, tmp_path):
@@ -552,11 +539,7 @@ def test_demo_unknown_sut(capsys):
 
 
 def test_demo_negative_bound_is_usage_error(capsys):
-    code = main(["demo", "clock", "--bound", "-1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "error: --bound must be >= 0\n"
+    _exits_2_with_one_error_line(capsys, ["demo", "clock", "--bound", "-1"], "--bound must be >= 0")
 
 
 def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, tmp_path, clock_suite):

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from reqpat.cli import main
 from reqpat.patterns import PATTERNS, SCOPES, TraceLinks, parameters
 
+from helpers import rarely
+
 NAMES = ["p", "q", "at_2400"]
 ATOMS = ["a", "b", "at_2400"]
 CONDITION_TEXTS = ["a", "b", "a && !b", "a || !at_2400", "true", "!(a)"]
@@ -70,10 +72,6 @@ SUITES = st.fixed_dictionaries({
 })
 
 
-def _rarely(draw) -> bool:
-    return draw(st.sampled_from([False, False, False, False, False, True]))
-
-
 def _nodes(doc) -> list:
     """Every object and array in a JSON document, the document first."""
     nodes, todo = [], [doc]
@@ -107,7 +105,7 @@ def _suite_texts(draw, doc):
             node[key] = draw(ODD_VALUES)
         else:
             node[key] = draw(st.sampled_from([lambda v: [v], lambda v: {"x": v}, str]))(node[key])
-    text = json.dumps(doc, ensure_ascii=not _rarely(draw))
+    text = json.dumps(doc, ensure_ascii=not rarely(draw))
     return text.replace(json.dumps(HUGE), "9" * 5000).replace(json.dumps(DEEP), "[" * 5000 + "]" * 5000)
 
 
@@ -120,7 +118,7 @@ ODD_LINES = st.sampled_from(['["A"]', '["a"', "[1]", "{}", '"a"', "", "\r", '[["
 def _trace_texts(draw):
     """Mostly a trace that loads, sometimes with one odd line in it."""
     lines = draw(st.lists(STATE_LINES, max_size=12))
-    if _rarely(draw):
+    if rarely(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(ODD_LINES))
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"])) if lines else ""
 
@@ -151,13 +149,13 @@ def _argvs(draw):
     odd value, or one more argument of any kind somewhere."""
     command = draw(st.sampled_from([*COMMANDS, *COMMANDS, "verify", ""]))
     argv = [command]
-    if command == "demo" and not _rarely(draw):
+    if command == "demo" and not rarely(draw):
         argv.append(draw(st.sampled_from(["clock", "clock", "toaster"])))
     for option in COMMANDS.get(command, []):
-        if not _rarely(draw):
-            value = draw(JUNK if _rarely(draw) else OPTIONS[option])
+        if not rarely(draw):
+            value = draw(JUNK if rarely(draw) else OPTIONS[option])
             argv += [option] if value is None else [option, value]
-    if _rarely(draw):
+    if rarely(draw):
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
     return argv
 

@@ -24,7 +24,8 @@ from reqpat.conditions import (
     parse_condition,
 )
 
-from helpers import random_condition, truth
+from helpers import random_condition
+from reference import truth
 
 
 def test_ref_membership():

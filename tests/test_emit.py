@@ -39,7 +39,8 @@ from reqpat.patterns import (
 )
 from reqpat.suite import load_suite
 
-from helpers import DEFAULT_ATOMS, all_traces, random_trace, reference_eval_ltlf
+from helpers import DEFAULT_ATOMS, all_traces, random_trace
+from reference import reference_eval_ltlf
 from test_acceptance import ALL_SCOPES, CORE_PATTERNS
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")

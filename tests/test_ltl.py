@@ -31,7 +31,8 @@ from reqpat.ltl import (
     print_formula,
 )
 
-from helpers import random_formula, random_trace, reference_eval_ltlf
+from helpers import random_formula, random_trace
+from reference import reference_eval_ltlf
 
 
 # --- parsing ----------------------------------------------------------------

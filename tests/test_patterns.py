@@ -39,17 +39,8 @@ from reqpat.patterns import (
 )
 from reqpat.suite import load_suite, load_trace, write_trace
 
-from helpers import (
-    all_traces,
-    brute_precedence_chain_holds,
-    brute_response_chain_holds,
-    random_condition,
-    random_scope,
-    random_state,
-    random_trace,
-    reference_check,
-    reference_segments,
-)
+from helpers import all_traces, random_condition, random_scope, random_state, random_trace
+from reference import brute_precedence_chain_holds, brute_response_chain_holds, reference_check, reference_segments
 
 P, Q, R, S = Ref("p"), Ref("q"), Ref("r"), Ref("s")
 A, B = Ref("a"), Ref("b")
@@ -491,18 +482,8 @@ def test_check_reads_each_condition_once_per_distinct_line_of_a_loaded_trace(mon
     for req in suite.requirements:
         for segment in segments(req.scope, trace):
             evaluate_pattern(req.pattern, trace, segment)
-    calls = 0
-    inner = patterns.eval_condition
-
-    def counting(expr, state):
-        nonlocal calls
-        calls += 1
-        return inner(expr, state)
-
-    monkeypatch.setattr(patterns, "eval_condition", counting)
-    verdicts = [check(req, trace) for req in suite.requirements]
+    calls, verdicts = _counted_reads(monkeypatch, suite.requirements, trace)
     assert 0 < calls <= len(lines) * len(suite.conditions)
-    monkeypatch.undo()
     assert verdicts == [check(req, Trace(trace.states)) for req in suite.requirements]
 
 

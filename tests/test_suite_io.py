@@ -36,7 +36,8 @@ from reqpat.suite import (
     write_trace,
 )
 
-from helpers import random_state, random_trace, reference_write_trace
+from helpers import random_state, random_trace, rarely
+from reference import reference_write_trace
 
 
 def suite_text(**overrides) -> str:
@@ -228,6 +229,13 @@ def test_empty_source_quote_rejected():
     doc["requirements"][0]["meta"] = {"source_quote": ""}
     with pytest.raises(MalformedSuite):
         load_suite(json.dumps(doc))
+
+
+def test_an_empty_condition_name_is_refused():
+    """A nameless condition would print as nothing in every sentence that names it."""
+    with pytest.raises(MalformedCondition) as exc_info:
+        load_suite(suite_text(requirements=[], conditions={"": "at_2400"}))
+    assert str(exc_info.value) == "condition '': name must not be empty"
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
@@ -568,27 +576,23 @@ _WELL_TYPED = {
 }
 
 
-def _rarely(draw) -> bool:
-    return draw(st.sampled_from([True, False, False, False, False, False]))
-
-
 @st.composite
 def _objects(draw, catalogue, tagged=True):
     """Mostly near-valid pattern, scope or meta objects: a tag, if `tagged`,
     and most fields of the tagged class with well-typed values; sometimes a
     wrong value, a foreign or missing tag, an extra key or no object at all."""
-    if _rarely(draw):
+    if rarely(draw):
         return draw(_VALUES)
-    if not _rarely(draw):
+    if not rarely(draw):
         tag = draw(st.sampled_from(sorted(catalogue)))
     else:
         tag = draw(st.one_of(st.sampled_from([*PATTERNS, *SCOPES]), _SCALARS, st.lists(_SCALARS, max_size=2)))
     cls = catalogue.get(tag) if isinstance(tag, str) else None
-    obj = {"type": tag} if tagged and not _rarely(draw) else {}
+    obj = {"type": tag} if tagged and not rarely(draw) else {}
     for f in dataclasses.fields(cls) if cls else ():
-        if not _rarely(draw):
-            obj[f.name] = draw(_VALUES if _rarely(draw) else _WELL_TYPED.get(f.name, _NAMES))
-    if _rarely(draw):
+        if not rarely(draw):
+            obj[f.name] = draw(_VALUES if rarely(draw) else _WELL_TYPED.get(f.name, _NAMES))
+    if rarely(draw):
         obj[draw(st.sampled_from(["p", "s", "q", "r", "k", "chain", "strict", "source_ur"]))] = draw(_VALUES)
     return obj
 
