@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .conditions import Ref, is_valid_atom
+from .conditions import Ref, condition_atoms, is_valid_atom
 from .patterns import Existence, Fails, Globally, Requirement, Response, Verdict, check, map_conditions
 from .suite import SuiteError, load_suite, load_trace
 
@@ -94,7 +94,10 @@ def _verdict_row(name: str, verdict: Verdict) -> dict:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     suite = load_suite(_read(args.suite))
-    trace = load_trace(_read(args.trace))
+    # Verdicts read only the atoms the suite's conditions name, so lines that
+    # differ elsewhere load as one state.
+    keep = frozenset().union(*map(condition_atoms, suite.conditions.values()))
+    trace = load_trace(_read(args.trace), keep=keep)
     rows = [_verdict_row(req.name, check(req, trace)) for req in suite.requirements]
 
     if args.json:

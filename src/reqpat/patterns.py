@@ -476,8 +476,10 @@ def check(req: Requirement, trace: Trace) -> Verdict:
 
     A trace from `load_trace` whose lines repeat, at most half of them
     distinct, is read through truth columns: one read per condition and
-    distinct line, shared by every requirement checked on it. Any other
-    trace is read position by position, as `segments` and
+    distinct line, shared by every requirement checked on it. `reqpat
+    check` loads only the atoms its suite reads, so there lines that differ
+    only in atoms no condition reads, such as sequence numbers, count as one.
+    Any other trace is read position by position, as `segments` and
     `evaluate_pattern` always read.
     """
     pattern, scope = req.pattern, req.scope

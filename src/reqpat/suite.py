@@ -22,9 +22,9 @@ rejected, as is a missing field without a default.
 
 A name may be defined only once: a duplicate condition or requirement name is
 the file-level contradiction signal and is always rejected. A condition or
-requirement name must be nonempty. No name or ``meta`` string may contain a
-line break or a lone surrogate, and no integer may have more digits than
-``int`` converts.
+requirement name must hold a character other than whitespace. No name or
+``meta`` string may contain a line break or a lone surrogate, and no integer
+may have more digits than ``int`` converts.
 
 Trace files are JSON Lines: one array of atom names per line, one line per
 state, atoms sorted on output. Atoms absent from a line are false. Identical
@@ -152,6 +152,14 @@ def _unprintable(text: str) -> str:
     return ""
 
 
+def _name_flaw(name: str) -> str:
+    """Why the text cannot name a condition or a requirement, each printed in
+    every sentence and row that mentions it, or "" when it can."""
+    if not name:
+        return "must not be empty"
+    return _unprintable(name) or ("must not be only whitespace" if name.isspace() else "")
+
+
 def load_suite(text: str) -> Suite:
     """Parse and validate a suite file; every defect raises a SuiteError."""
     try:
@@ -169,7 +177,7 @@ def load_suite(text: str) -> Suite:
         raise MalformedSuite("'conditions' must be an object")
     conditions: dict[str, Condition] = {}
     for name, body in raw_conditions.items():
-        if flaw := (_unprintable(name) if name else "must not be empty"):
+        if flaw := _name_flaw(name):
             raise MalformedCondition(name, f"name {flaw}")
         if not isinstance(body, str):
             raise MalformedCondition(name, "body must be a string")
@@ -245,7 +253,8 @@ def _load_exactly(kind: type, noun: str, value, conditions, location, name, erro
 def _load_text(optional: bool, value, conditions, location, name, error) -> str | None:
     if not optional and (type(value) is not str or not value):
         raise error(location, f"{name!r} must be a nonempty string")
-    if value is not None and (flaw := _unprintable(value) if type(value) is str else "must be a string"):
+    flaw_of = _unprintable if optional else _name_flaw
+    if value is not None and (flaw := flaw_of(value) if type(value) is str else "must be a string"):
         raise error(f"{location}.{name}", flaw)
     return value
 
@@ -317,7 +326,7 @@ _ATOM = f'"{ATOM_RE.pattern}"'
 _UNWRITTEN = re.compile(rf"\n(?!\[(?:{_ATOM}(?:,{_ATOM})*)?\]$)(.*)", re.MULTILINE)
 
 
-def load_trace(text: str) -> Trace:
+def load_trace(text: str, keep: Collection[str] | None = None) -> Trace:
     """Parse a JSON-Lines trace; one array of atom names per line.
 
     Lines end at "\n" only, as in JSON Lines, and a final "\n" ends the last
@@ -329,11 +338,17 @@ def load_trace(text: str) -> Trace:
     The trace keeps its distinct states and each line's index among them
     (`Trace.from_codes`), so `patterns.check` reads a condition once per
     distinct line.
+
+    With `keep`, every line is still validated in full, raising the same
+    error, and each state then holds only its line's atoms in `keep`; lines
+    equal on those atoms share one State. A condition over atoms in `keep`
+    holds where it holds on the full trace, so `reqpat check` keeps the
+    atoms its suite reads.
     """
     lines = text.removesuffix("\n").split("\n") if text else []
     codes = {line: code for code, line in enumerate(dict.fromkeys(lines))}
     unwritten = set(_UNWRITTEN.findall("\n" + "\n".join(codes)))
-    distinct = []
+    rows = []
     for line in codes:
         if line not in unwritten:
             atoms = line[2:-2].split('","') if line != "[]" else ()
@@ -344,8 +359,12 @@ def load_trace(text: str) -> Trace:
                 atoms = None
             if type(atoms) is not list or not all(map(is_valid_atom, atoms)):
                 _refuse_line(lines.index(line) + 1, line)
-        distinct.append(State(atoms))
-    return Trace.from_codes(distinct, map(codes.__getitem__, lines))
+        rows.append(atoms)
+    if keep is not None:
+        keep, kept = frozenset(keep), {}
+        codes = {line: kept.setdefault(keep.intersection(atoms), len(kept)) for line, atoms in zip(codes, rows)}
+        rows = list(kept)
+    return Trace.from_codes(map(State, rows), map(codes.__getitem__, lines))
 
 
 def _refuse_line(lineno: int, line: str) -> NoReturn:

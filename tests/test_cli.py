@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +8,14 @@ from unittest import mock
 
 import pytest
 
-from reqpat import cli
+from reqpat import cli, patterns
 from reqpat.cli import main
 from reqpat.clock import Clock, builtin_suite, builtin_suite_text
+from reqpat.conditions import State, Trace
 from reqpat.harness import record
 from reqpat.suite import MalformedCondition, SuiteError, load_suite, write_trace
+
+from helpers import random_state
 
 
 @pytest.fixture()
@@ -67,6 +71,40 @@ def test_check_short_trace_fails_existence(capsys, tmp_path, clock_suite):
     code, out = run(capsys, "check", "--suite", clock_suite, "--trace", trace)
     assert "STATEMENT_0: FAILS" in out
     assert code == 1
+
+
+def test_check_reads_each_condition_once_per_state_over_the_suite_s_atoms(capsys, monkeypatch, tmp_path):
+    """Each of 600 lines carries its own sequence atom, which no condition
+    reads, so every line is distinct. `reqpat check` loads only the atoms
+    its suite reads, so the lines are the few states they are over those
+    atoms, and each condition is read once per such state."""
+    conditions = {"p": "p", "s": "s || t", "q": "q && !p", "r": "r"}
+    requirements = [
+        {"name": "R0", "pattern": {"type": "response", "p": "p", "s": "s"}, "scope": {"type": "globally"}},
+        {"name": "R1", "pattern": {"type": "absence", "p": "q"}, "scope": {"type": "between", "q": "s", "r": "r"}},
+        {"name": "R2", "pattern": {"type": "precedence_chain", "chain": ["s", "r"], "p": "p"},
+         "scope": {"type": "after_until", "q": "q", "r": "r"}},
+        {"name": "R3", "pattern": {"type": "bounded_existence", "p": "r", "k": 2}, "scope": {"type": "before", "r": "q"}},
+    ]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"conditions": conditions, "requirements": requirements}))
+    rng = random.Random(22)
+    rows = [random_state(rng, ("p", "q", "r", "s", "t")).atoms for _ in range(600)]
+    numbered, plain = tmp_path / "numbered.jsonl", tmp_path / "plain.jsonl"
+    numbered.write_text(write_trace(Trace(State(atoms | {f"seq_{i}"}) for i, atoms in enumerate(rows))))
+    plain.write_text(write_trace(Trace(State(atoms) for atoms in rows)))
+    expected = run(capsys, "check", "--json", "--suite", str(suite), "--trace", str(plain))
+    calls = 0
+    inner = patterns.eval_condition
+
+    def counting(expr, state):
+        nonlocal calls
+        calls += 1
+        return inner(expr, state)
+
+    monkeypatch.setattr(patterns, "eval_condition", counting)
+    assert run(capsys, "check", "--json", "--suite", str(suite), "--trace", str(numbered)) == expected
+    assert 0 < calls <= len(set(rows)) * len(conditions) < 600
 
 
 def fresh_python(*argv: str) -> subprocess.CompletedProcess:
@@ -362,6 +400,17 @@ def test_an_empty_condition_name_exits_2(capsys, tmp_path):
     suite.write_text(json.dumps({"conditions": {"": "p"}, "requirements": [
         {"name": "r", "pattern": {"type": "absence", "p": ""}, "scope": {"type": "globally"}}]}))
     _every_command_exits_2(capsys, tmp_path, suite, "condition '': name must not be empty")
+
+
+@pytest.mark.parametrize("condition, requirement, message", [
+    (" ", "r", "condition ' ': name must not be only whitespace"),
+    ("p", " ", "requirements[0].name: must not be only whitespace"),
+])
+def test_a_name_made_only_of_whitespace_exits_2(capsys, tmp_path, condition, requirement, message):
+    suite = tmp_path / "blank.json"
+    suite.write_text(json.dumps({"conditions": {condition: "p"}, "requirements": [
+        {"name": requirement, "pattern": {"type": "absence", "p": condition}, "scope": {"type": "globally"}}]}))
+    _every_command_exits_2(capsys, tmp_path, suite, message)
 
 
 def test_suite_json_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):

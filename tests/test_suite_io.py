@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reqpat.clock import builtin_suite
 from reqpat import suite as suite_io
-from reqpat.conditions import MAX_NESTING, And, Not, Or, Ref, State, Trace
+from reqpat.conditions import MAX_NESTING, And, Not, Or, Ref, State, Trace, condition_atoms
 from reqpat.patterns import (
     PATTERNS,
     SCOPES,
@@ -20,6 +20,8 @@ from reqpat.patterns import (
     Requirement,
     ResponseChain,
     TraceLinks,
+    check,
+    parameters,
 )
 from reqpat.suite import (
     DuplicateDefinition,
@@ -37,7 +39,7 @@ from reqpat.suite import (
 )
 
 from helpers import random_state, random_trace, rarely
-from reference import reference_write_trace
+from reference import reference_check, reference_write_trace
 
 
 def suite_text(**overrides) -> str:
@@ -238,6 +240,20 @@ def test_an_empty_condition_name_is_refused():
     assert str(exc_info.value) == "condition '': name must not be empty"
 
 
+@pytest.mark.parametrize("blank", [" ", "   ", "\t", " \t "])
+def test_a_name_made_only_of_whitespace_is_refused(blank):
+    """Such a name would print as blanks in every sentence and row that names it."""
+    with pytest.raises(MalformedCondition) as exc_info:
+        load_suite(suite_text(requirements=[], conditions={blank: "at_2400"}))
+    assert str(exc_info.value) == f"condition {blank!r}: name must not be only whitespace"
+    doc = json.loads(suite_text())
+    doc["requirements"][0]["name"] = blank
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(json.dumps(doc))
+    assert str(exc_info.value) == "requirements[0].name: must not be only whitespace"
+    assert load_suite(suite_text(requirements=[], conditions={f"{blank}m{blank}": "at_2400"})).conditions
+
+
 @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
 def test_line_breaks_in_names_and_meta_rejected(brk):
     """Names and links are printed inside one output line, so a string that
@@ -327,6 +343,19 @@ def test_dump_requires_named_conditions():
 
 # --- traces -----------------------------------------------------------------
 
+def _refused(text: str) -> TraceFormatError:
+    """The error `load_trace` raises on `text`: the same class, line and
+    message whichever atoms it keeps, since every line is validated in full."""
+    with pytest.raises(TraceFormatError) as exc_info:
+        load_trace(text)
+    error = exc_info.value
+    for keep in (frozenset(), frozenset({"p"}), frozenset({"p", "q", "at_2400"})):
+        with pytest.raises(SuiteError) as kept:
+            load_trace(text, keep=keep)
+        assert (type(kept.value), kept.value.line, str(kept.value)) == (type(error), error.line, str(error))
+    return error
+
+
 def test_load_trace_two_lines():
     trace = load_trace('["p"]\n["p","s"]\n')
     assert len(trace) == 2
@@ -341,31 +370,21 @@ def test_load_trace_empty_input():
 def test_load_trace_breaks_lines_at_newline_only():
     """Other characters that `str.splitlines` breaks at stay inside a line,
     as in JSON Lines, so this text is one line and not valid JSON."""
-    with pytest.raises(TraceFormatError) as exc_info:
-        load_trace('["p"]\u2028["q"]\x1c[]\n')
-    assert exc_info.value.line == 1
+    assert _refused('["p"]\u2028["q"]\x1c[]\n').line == 1
     crlf = load_trace('["p"]\r\n[]\r\n["p","q"]\r\n')
     assert [set(state.atoms) for state in crlf] == [{"p"}, set(), {"p", "q"}]
     assert len(load_trace('["p"]\n[]')) == 2
-    with pytest.raises(TraceFormatError) as exc_info:
-        load_trace('["p"]\n\n')
-    assert exc_info.value.line == 2
+    assert _refused('["p"]\n\n').line == 2
 
 
 def test_load_trace_bad_atom_reports_line():
-    with pytest.raises(TraceFormatError) as exc_info:
-        load_trace('["9bad"]')
-    assert exc_info.value.line == 1
+    assert _refused('["9bad"]').line == 1
 
 
 def test_load_trace_malformed_line_reports_line():
-    with pytest.raises(TraceFormatError) as exc_info:
-        load_trace('["p"]\n{"not": "a list"}')
-    assert exc_info.value.line == 2
-    with pytest.raises(TraceFormatError):
-        load_trace("[1, 2]")
-    with pytest.raises(TraceFormatError):
-        load_trace("not json")
+    assert _refused('["p"]\n{"not": "a list"}').line == 2
+    _refused("[1, 2]")
+    _refused("not json")
 
 
 def test_load_trace_interns_identical_lines():
@@ -379,10 +398,9 @@ def test_load_trace_interns_identical_lines():
 
 
 def test_load_trace_repeated_malformed_line_reports_first_line():
-    with pytest.raises(TraceFormatError) as exc_info:
-        load_trace('["p"]\n["q"]\n["p"]\n["9bad"]\n["q"]\n["9bad"]\n')
-    assert exc_info.value.line == 4
-    assert str(exc_info.value) == "line 4: invalid atom name '9bad'"
+    error = _refused('["p"]\n["q"]\n["p"]\n["9bad"]\n["q"]\n["9bad"]\n')
+    assert error.line == 4
+    assert str(error) == "line 4: invalid atom name '9bad'"
 
 
 def test_load_trace_names_a_line_with_a_non_name_before_its_invalid_atoms():
@@ -404,9 +422,7 @@ def test_load_trace_names_a_line_with_a_non_name_before_its_invalid_atoms():
         ("[", json_error("[")),
     ]
     for line, message in cases:
-        with pytest.raises(TraceFormatError) as exc_info:
-            load_trace(f'["p"]\n{line}\n["p"]\n{line}\n')
-        assert str(exc_info.value) == f"line 2: {message}"
+        assert str(_refused(f'["p"]\n{line}\n["p"]\n{line}\n')) == f"line 2: {message}"
 
 
 def _respell(line: str, ways: frozenset[str]) -> str:
@@ -424,19 +440,28 @@ def _respell(line: str, ways: frozenset[str]) -> str:
     return line + ("\r" if "crlf" in ways else "")
 
 
+def _respelt(written: str, ways: list[frozenset[str]]) -> str:
+    """write_trace's output with each distinct line respelt its own way, the
+    same at every occurrence."""
+    lines = written.splitlines()
+    distinct = list(dict.fromkeys(lines))
+    return "".join(_respell(line, ways[distinct.index(line) % len(ways)]) + "\n" for line in lines)
+
+
+_WAYS = st.lists(st.frozensets(st.sampled_from(["repeat", "escape", "space after [", "space after ,", "crlf"])),
+                 min_size=1, max_size=4)
+
+
 @given(
     st.lists(st.frozensets(st.sampled_from(["p", "q", "at_2400", "_x1", "stop"])), max_size=12),
-    st.lists(st.frozensets(st.sampled_from(["repeat", "escape", "space after [", "space after ,", "crlf"])), min_size=1, max_size=4),
+    _WAYS,
 )
 @settings(max_examples=300, deadline=None)
 def test_a_trace_spelt_other_ways_loads_as_written(atom_sets, ways):
     """Each distinct line is respelt its own way, the same at every
     occurrence, so the loaded traces share their distinct states too."""
     written = write_trace(Trace(State(atoms) for atoms in atom_sets))
-    lines = written.splitlines()
-    distinct = list(dict.fromkeys(lines))
-    other = "".join(_respell(line, ways[distinct.index(line) % len(ways)]) + "\n" for line in lines)
-    expected, loaded = load_trace(written), load_trace(other)
+    expected, loaded = load_trace(written), load_trace(_respelt(written, ways))
     assert loaded == expected == Trace(State(atoms) for atoms in atom_sets)
     assert loaded._distinct == expected._distinct
     assert loaded._codes == expected._codes
@@ -444,12 +469,65 @@ def test_a_trace_spelt_other_ways_loads_as_written(atom_sets, ways):
 
 @pytest.mark.parametrize("line", ['["P"]', '[""]', '["p"', '["p"]]', '["p"],["q"]'])
 def test_a_bad_line_among_written_lines_keeps_its_number_and_message(line):
-    with pytest.raises(TraceFormatError) as alone:
-        load_trace(line)
-    with pytest.raises(TraceFormatError) as exc_info:
-        load_trace(f'["p"]\n[]\n["p","q"]\n{line}\n["q"]\n{line}\n["p"]\n')
-    assert exc_info.value.line == 4
-    assert str(exc_info.value) == f"line 4: {str(alone.value).removeprefix('line 1: ')}"
+    alone = _refused(line)
+    error = _refused(f'["p"]\n[]\n["p","q"]\n{line}\n["q"]\n{line}\n["p"]\n')
+    assert error.line == 4
+    assert str(error) == f"line 4: {str(alone).removeprefix('line 1: ')}"
+
+
+_LETTERS = ("p", "q", "r")
+_CONDITION_TEXTS = st.recursive(
+    st.sampled_from([*_LETTERS, "true", "false"]),
+    lambda inner: st.one_of(
+        inner.map("!{}".format),
+        st.tuples(inner, st.sampled_from(["&&", "||"]), inner).map("({0[0]} {0[1]} {0[2]})".format),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _suites(draw) -> Suite:
+    """Up to three conditions over p, q and r, and up to four requirements of
+    any pattern under any scope, each field drawn by its annotation."""
+    conditions = {f"c{i}": draw(_CONDITION_TEXTS) for i in range(draw(st.integers(1, 3)))}
+    names = st.sampled_from(sorted(conditions))
+    values = {"Condition": names, "tuple[Condition, ...]": st.lists(names, min_size=1, max_size=3),
+              "int": st.integers(0, 2), "bool": st.booleans()}
+
+    def variant(catalogue):
+        tag = draw(st.sampled_from(sorted(catalogue)))
+        return {"type": tag, **{name: draw(values[f.type]) for name, f in parameters(catalogue[tag]).items()}}
+
+    requirements = [{"name": f"R{i}", "pattern": variant(PATTERNS), "scope": variant(SCOPES)}
+                    for i in range(draw(st.integers(1, 4)))]
+    return load_suite(json.dumps({"conditions": conditions, "requirements": requirements}))
+
+
+@given(
+    _suites(),
+    st.lists(st.frozensets(st.sampled_from([*_LETTERS, "log", "noise"])), max_size=30),
+    st.booleans(),
+    _WAYS,
+)
+@settings(max_examples=300, deadline=None)
+def test_a_trace_loaded_with_only_the_suite_s_atoms_checks_as_the_full_trace(suite, atom_sets, numbered, ways):
+    """Lines carry atoms no condition reads, noise atoms and, in numbered
+    traces, a sequence atom of their own, and are written or respelt. Loaded
+    keeping only the suite's atoms, as `reqpat check` loads them, every
+    verdict, reason included, is that of the full trace and the reference's."""
+    trace = Trace(State(atoms | {f"seq_{i}"} if numbered else atoms) for i, atoms in enumerate(atom_sets))
+    keep = frozenset().union(*map(condition_atoms, suite.conditions.values()))
+    for text in (write_trace(trace), _respelt(write_trace(trace), ways)):
+        full, kept = load_trace(text), load_trace(text, keep=keep)
+        assert full == trace
+        assert [state.atoms for state in kept] == [state.atoms & keep for state in trace]
+        assert len(kept._distinct) == len({state.atoms & keep for state in trace})
+        for req in suite.requirements:
+            got, want = check(req, kept), check(req, full)
+            assert type(got) is type(want) and dataclasses.astuple(got) == dataclasses.astuple(want), req
+            reference = reference_check(req, trace)
+            assert type(got) is type(reference) and dataclasses.astuple(got) == dataclasses.astuple(reference), req
 
 
 def test_written_lines_are_not_decoded(monkeypatch):
