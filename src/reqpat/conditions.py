@@ -8,9 +8,10 @@ truth value in that state, and `eval_condition` is the checked entry point.
 
 The module also holds the engine for tree languages given as tables
 (`Grammar`): conditions (`CONDITIONS`) here, and the formulas of `ltl`, whose
-propositional part conditions are. It reads and writes their text, and it
-compiles a tree into a flat post-order program and builds one back, so that
-every walk over a tree, such as `condition_atoms`, is a loop over a program.
+propositional nodes the condition classes are. It reads and writes their
+text, and it compiles a tree into a flat post-order program and builds one
+back, so that every walk over a tree, such as `condition_atoms`, is a loop
+over a program.
 """
 
 from __future__ import annotations
@@ -33,7 +34,15 @@ def require_atom(name: str) -> str:
     return name
 
 
-class Condition:
+class Formula:
+    """Base class of the nodes of the formula grammar, `ltl.FORMULAS`: the
+    condition classes below are its propositional nodes, and `ltl` adds the
+    temporal ones. A marker only; every node is an immutable value."""
+
+    __slots__ = ()
+
+
+class Condition(Formula):
     """Base class for condition expressions. Subclasses are immutable values."""
 
     __slots__ = ()

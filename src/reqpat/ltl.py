@@ -7,6 +7,13 @@ test suite holds them to exhaustive agreement. Formulas are interpreted over
 finite, nonempty traces; strong next fails at the final state, weak next
 succeeds there.
 
+A condition is a formula. The condition classes of `conditions` (`Const`,
+`Ref`, `Not`, `And`, `Or`) are the propositional nodes of the formula
+grammar, and this module adds the seven temporal ones; all of them derive
+from `conditions.Formula`. `FORMULAS` and `conditions.CONDITIONS` are two
+tables read and written by the one engine of `conditions.Grammar`, so a
+condition prints and parses as the same text in both.
+
 Evaluation is bit-parallel. A formula is compiled once, on its first
 evaluation, by the grammar engine (`FORMULAS.compile`) into a flat program
 with one instruction per structurally distinct subformula, and the program
@@ -14,20 +21,21 @@ is generated into one straight-line Python function: a single pass over the
 trace builds every atom's mask, then one assignment per instruction computes
 that subformula's truth at every position as one integer mask. Next is a
 shift, eventually and always take the lowest set bit, and until is one
-addition. The function is kept on the formula object and shared through a
-small bounded cache keyed by the program, so formulas with equal programs,
-such as two emissions of one requirement, generate it once. No expression
-nests per formula level and neither compiling nor generating recurses, so a
-formula of any depth evaluates; printing does not recurse either.
+addition. Nothing is kept on a node: the function and the printed text are
+kept beside the formula, in an entry that a weak reference ties to it, and
+the function is shared through a small bounded cache keyed by the program,
+so formulas with equal programs, such as two emissions of one requirement,
+generate it once. No expression nests per formula level and neither
+compiling nor generating recurses, so a formula of any depth evaluates;
+printing does not recurse either.
 
 Emission reads one table of requirement templates: for each (pattern tag,
 scope tag) cell of the `patterns` catalogue, formula text over placeholders
 for the requirement's conditions, compiled on first use and instantiated by
-building its program with each condition's formula in its placeholder's
-place. A condition's formula is its program under `conditions.CONDITIONS`,
-each class renamed, built by `FORMULAS`: the embedding maps token for token.
-One rule bounds what is emitted: the printed formula must parse back, so a
-formula whose parentheses nest more than MAX_NESTING deep is unsupported.
+building its program with the requirement's own condition object in each
+placeholder's place. One rule bounds what is emitted: the printed formula
+must parse back, so a formula whose parentheses nest more than MAX_NESTING
+deep is unsupported.
 
 Formula text grammar (whitespace insignificant):
 
@@ -40,78 +48,22 @@ Formula text grammar (whitespace insignificant):
 
 Atoms match ``[a-z_][a-z0-9_]*``; `F`/`G` are accepted as input aliases for
 `<>`/`[]`, which are the canonical output forms. Parentheses nest at most
-MAX_NESTING deep. A condition is the propositional part of this grammar:
-`FORMULAS` and `conditions.CONDITIONS` are two tables read and written by
-the one engine of `conditions.Grammar`.
+MAX_NESTING deep.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable
 
-from .conditions import CONDITIONS, MAX_NESTING, Condition, Grammar, Ref, Trace, require_atom
-from .conditions import And as CondAnd
-from .conditions import Not as CondNot
-from .conditions import Or as CondOr
-from .patterns import TAGS, Requirement, mapped_fields
+from .conditions import CONDITIONS, MAX_NESTING, And, Const, Formula, Grammar, Not, Or, Ref, Trace
+from .patterns import TAGS, Requirement, parameters
 
 
-class Formula:
-    """Base class for formula nodes. All nodes are immutable values."""
-
-    __slots__ = ()
-
-    @cached_property
-    def _program(self) -> tuple[tuple, ...]:
-        """The evaluation program, compiled on first use and kept on the
-        node: formulas are immutable, and dataclass ==, hash and repr read
-        only the fields."""
-        return FORMULAS.compile(self)
-
-    @cached_property
-    def _run(self) -> Callable[[tuple, int], int]:
-        """The program's generated function, kept like `_program` and shared
-        with every formula whose program is equal."""
-        return _runner(self._program)
-
-    @cached_property
-    def _rendered(self) -> tuple[str, int]:
-        """The printed text and its parenthesis depth, kept like `_program`."""
-        return FORMULAS.render(self)
-
-    def __getstate__(self) -> dict:
-        """A generated function does not pickle, so copies and pickles leave
-        it out and generate or share it again when evaluated."""
-        state = self.__dict__.copy()
-        state.pop("_run", None)
-        return state
-
-
-@dataclass(frozen=True)
-class TrueBool(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseBool(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Prop(Formula):
-    name: str
-
-    def __post_init__(self) -> None:
-        require_atom(self.name)
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
-
+# The temporal nodes. The propositional ones are the condition classes.
 
 @dataclass(frozen=True)
 class Next(Formula):
@@ -131,18 +83,6 @@ class Eventually(Formula):
 @dataclass(frozen=True)
 class Always(Formula):
     operand: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
 
 
 @dataclass(frozen=True)
@@ -174,8 +114,8 @@ class LtlSyntaxError(ValueError):
 FORMULAS = Grammar(
     noun="formula",
     error=LtlSyntaxError,
-    atom=Prop,
-    constants={"true": TrueBool(), "false": FalseBool()},
+    atom=Ref,
+    constants=CONDITIONS.constants,
     prefix={"!": Not, "<>": Eventually, "F": Eventually, "[]": Always, "G": Always, "X": Next, "WX": WeakNext},
     infix={"->": (Implies, 1), "||": (Or, 2), "&&": (And, 3), "U": (Until, 4), "W": (WeakUntil, 4)},
     nesting=(0, 0, 1),
@@ -190,9 +130,51 @@ def parse(text: str) -> Formula:
 
 def print_formula(formula: Formula) -> str:
     """Render with the minimum parentheses the grammar needs to re-parse it."""
-    if not isinstance(formula, Formula):
-        raise TypeError(f"not a formula: {formula!r}")
-    return formula._rendered[0]
+    return _rendering(formula)[0]
+
+
+# --- what is derived from a formula ------------------------------------------
+#
+# Kept beside a formula, never on it: one entry per formula object, by id,
+# that is a weak reference to it. The reference's callback drops the entry
+# when the formula dies; an entry whose referent is not the object looked up
+# is stale and never used. A copy or a pickle gets an entry of its own.
+
+class _Derived(weakref.ref):
+    """A formula's entry: its generated function and its printed text with
+    that text's parenthesis depth, each None until first needed."""
+
+    __slots__ = ("key", "run", "rendered")
+
+    def __init__(self, formula: Formula, callback: Callable):
+        super().__init__(formula, callback)
+        self.key, self.run, self.rendered = id(formula), None, None
+
+
+_DERIVED: dict[int, _Derived] = {}
+
+
+def _forget(entry: _Derived) -> None:
+    if _DERIVED.get(entry.key) is entry:
+        del _DERIVED[entry.key]
+
+
+def _derived(formula: Formula) -> _Derived:
+    """The formula's entry, made on its first use."""
+    entry = _DERIVED.get(id(formula))
+    if entry is None or entry() is not formula:
+        if not isinstance(formula, Formula):
+            raise TypeError(f"not a formula: {formula!r}")
+        entry = _DERIVED[id(formula)] = _Derived(formula, _forget)
+    return entry
+
+
+def _rendering(formula: Formula) -> tuple[str, int]:
+    """The printed text and its parenthesis depth, rendered once."""
+    entry = _derived(formula)
+    if entry.rendered is None:
+        entry.rendered = FORMULAS.render(formula)
+    return entry.rendered
 
 
 # --- evaluation --------------------------------------------------------------
@@ -210,8 +192,8 @@ def print_formula(formula: Formula) -> str:
 # operand holds, the lowest set bit and all above it; always on the run of
 # set bits ending at the last position.
 _EXPRESSIONS = {
-    TrueBool: "full",
-    FalseBool: "0",
+    "true": "full",
+    "false": "0",
     Not: "full ^ m{a}",
     And: "m{a} & m{b}",
     Or: "m{a} | m{b}",
@@ -227,20 +209,20 @@ _EXPRESSIONS = {
 
 def _generate(program: tuple[tuple, ...]) -> Callable[[tuple, int], int]:
     """The program as one straight-line function of a trace's states and
-    its full mask, returning the root's mask. A Prop instruction's mask is
+    its full mask, returning the root's mask. A Ref instruction's mask is
     built in one loop over the states shared by every atom; each other
-    instruction is one flat assignment. Atom names enter the source only
-    through repr."""
-    atoms = [(slot, name) for slot, (op, name, _) in enumerate(program) if op is Prop]
+    instruction is one flat assignment, a constant's by its token. Atom
+    names enter the source only through repr."""
+    atoms = [(slot, name) for slot, (op, name, _) in enumerate(program) if op is Ref]
     lines = ["def run(states, full):"]
     if atoms:
         lines += [f"    m{slot} = 0" for slot, _ in atoms]
         lines += ["    for state in states:", "        atoms = state.atoms"]
         lines += [f"        m{slot} = (m{slot} << 1) | ({name!r} in atoms)" for slot, name in atoms]
     lines += [
-        f"    m{slot} = {_EXPRESSIONS[op].format(a=a, b=b)}"
+        f"    m{slot} = {_EXPRESSIONS[a if op is Const else op].format(a=a, b=b)}"
         for slot, (op, a, b) in enumerate(program)
-        if op is not Prop
+        if op is not Ref
     ]
     lines.append(f"    return m{len(program) - 1}")
     namespace: dict = {}
@@ -251,7 +233,7 @@ def _generate(program: tuple[tuple, ...]) -> Callable[[tuple, int], int]:
 # Generated functions by program. Bounded like `re`'s pattern cache, which
 # drops its oldest entry when full; a process evaluates a few dozen distinct
 # formulas (a suite's requirements, the 40 cells of the crosscheck), and
-# every formula object keeps its own function besides. The lock makes the
+# every formula's entry keeps its own function besides. The lock makes the
 # look-up, eviction and insertion one step; it is taken once per formula
 # object, not per evaluation.
 _RUNNERS: dict[tuple[tuple, ...], Callable[[tuple, int], int]] = {}
@@ -278,35 +260,26 @@ def eval_ltlf(formula: Formula, trace: Trace, pos: int = 0) -> bool:
     f W g additionally holds when f holds at every [pos, n); <> and [] are
     the usual derived forms.
     """
-    if not isinstance(formula, Formula):
-        raise TypeError(f"not a formula: {formula!r}")
+    # `_derived`'s look-up, inlined: evaluation is the hot path.
+    entry = _DERIVED.get(id(formula))
+    if entry is None or entry() is not formula:
+        entry = _derived(formula)
     states = trace.states
     n = len(states)
     if n == 0:
         raise ValueError("finite-trace semantics requires a nonempty trace")
     if not 0 <= pos < n:
         raise ValueError(f"position {pos} outside trace of length {n}")
-    return bool(formula._run(states, (1 << n) - 1) >> (n - 1 - pos) & 1)
+    run = entry.run
+    if run is None:
+        run = entry.run = _runner(FORMULAS.compile(formula))
+    return bool(run(states, (1 << n) - 1) >> (n - 1 - pos) & 1)
 
 
 # --- emission ----------------------------------------------------------------
 
 class UnsupportedPattern(ValueError):
     """The pattern/scope combination has no emitted formula."""
-
-
-# Each condition class's formula class. A constant's instruction keeps its
-# class: `build` makes it from its token, which both grammars share.
-_EMBEDDED = {Ref: Prop, CondNot: Not, CondAnd: And, CondOr: Or}
-
-
-def condition_formula(cond: Condition) -> Formula:
-    """Embed a propositional condition into the formula language: its
-    program, each instruction's class renamed, built as a formula. Neither
-    step recurses, so a condition of any depth embeds, and equal
-    subconditions become one shared formula node."""
-    program = CONDITIONS.compile(cond)
-    return FORMULAS.build(((_EMBEDDED.get(op, op), a, b) for op, a, b in program), Prop)
 
 
 # Bounded existence's formula grows with k, so its cells generate a block b
@@ -434,16 +407,16 @@ def emit_ltl(req: Requirement) -> Formula:
         pattern_tag = "strict_" + pattern_tag
     scope_tag = TAGS.get(type(scope), type(scope).__name__)
     template, block = _template((pattern_tag, scope_tag))
-    slots = mapped_fields(pattern, condition_formula) | mapped_fields(scope, condition_formula)
+    slots = {name: getattr(variant, name) for variant in (pattern, scope) for name in parameters(type(variant))}
     if block is not None:
         if slots["k"] > MAX_NESTING:
             raise UnsupportedPattern(f"bounded existence is only emitted for k <= {MAX_NESTING}")
         slots["b"] = block(slots)
-    # Each placeholder is built as its slot's formula: inserted, never
+    # Each placeholder is built as its slot's condition: inserted, never
     # searched, so an atom in it named like a placeholder stays itself. A
     # subformula the template repeats is built once and shared.
     formula = FORMULAS.build(template, slots.__getitem__)
-    depth = formula._rendered[1]
+    depth = _rendering(formula)[1]
     if depth > MAX_NESTING:
         raise UnsupportedPattern(
             f"the {pattern_tag} formula under {scope_tag} nests parentheses {depth} deep,"

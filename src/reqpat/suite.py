@@ -22,9 +22,10 @@ rejected, as is a missing field without a default.
 
 A name may be defined only once: a duplicate condition or requirement name is
 the file-level contradiction signal and is always rejected. A condition or
-requirement name must hold a character other than whitespace. No name or
-``meta`` string may contain a line break or a lone surrogate, and no integer
-may have more digits than ``int`` converts.
+requirement name must hold a character other than whitespace, and so must a
+nonempty ``meta`` string. No name or ``meta`` string may contain a line break
+or a lone surrogate, and no integer may have more digits than ``int``
+converts.
 
 Trace files are JSON Lines: one array of atom names per line, one line per
 state, atoms sorted on output. Atoms absent from a line are false. Identical
@@ -142,22 +143,20 @@ def _check_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
-def _unprintable(text: str) -> str:
+def _text_flaw(text: str) -> str:
     """Why the text cannot be printed inside one line of UTF-8 output, as
-    names and links are, or "" when it can."""
+    names and links are, as more than blanks, or "" when it can."""
     if "".join(text.splitlines()) != text:
         return "must not contain a line break"
     if not text.isascii() and any("\ud800" <= char <= "\udfff" for char in text):
         return "must not contain a lone surrogate"
-    return ""
+    return "must not be only whitespace" if text.isspace() else ""
 
 
 def _name_flaw(name: str) -> str:
     """Why the text cannot name a condition or a requirement, each printed in
     every sentence and row that mentions it, or "" when it can."""
-    if not name:
-        return "must not be empty"
-    return _unprintable(name) or ("must not be only whitespace" if name.isspace() else "")
+    return _text_flaw(name) if name else "must not be empty"
 
 
 def load_suite(text: str) -> Suite:
@@ -253,8 +252,7 @@ def _load_exactly(kind: type, noun: str, value, conditions, location, name, erro
 def _load_text(optional: bool, value, conditions, location, name, error) -> str | None:
     if not optional and (type(value) is not str or not value):
         raise error(location, f"{name!r} must be a nonempty string")
-    flaw_of = _unprintable if optional else _name_flaw
-    if value is not None and (flaw := flaw_of(value) if type(value) is str else "must be a string"):
+    if value is not None and (flaw := _text_flaw(value) if type(value) is str else "must be a string"):
         raise error(f"{location}.{name}", flaw)
     return value
 

@@ -45,13 +45,11 @@ def random_scope(rng: random.Random, atoms=DEFAULT_ATOMS) -> Scope:
 def random_formula(rng: random.Random, atoms=DEFAULT_ATOMS, depth: int = 5) -> ltl.Formula:
     if depth == 0 or rng.random() < 0.3:
         roll = rng.random()
-        if roll < 0.08:
-            return ltl.TrueBool()
         if roll < 0.16:
-            return ltl.FalseBool()
-        return ltl.Prop(rng.choice(atoms))
-    unary = (ltl.Not, ltl.Next, ltl.WeakNext, ltl.Eventually, ltl.Always)
-    binary = (ltl.And, ltl.Or, ltl.Implies, ltl.Until, ltl.WeakUntil)
+            return Const(roll < 0.08)
+        return Ref(rng.choice(atoms))
+    unary = (Not, ltl.Next, ltl.WeakNext, ltl.Eventually, ltl.Always)
+    binary = (And, Or, ltl.Implies, ltl.Until, ltl.WeakUntil)
     if rng.random() < 0.5:
         node = rng.choice(unary)
         return node(random_formula(rng, atoms, depth - 1))

@@ -18,8 +18,7 @@ import json
 import operator
 
 from reqpat.conditions import And, Condition, Const, Not, Or, Ref, Trace
-from reqpat.ltl import Always, Eventually, FalseBool, Formula, Implies, Next, Prop, TrueBool, Until, WeakNext, WeakUntil
-from reqpat.ltl import And as FormulaAnd, Not as FormulaNot, Or as FormulaOr
+from reqpat.ltl import Always, Eventually, Formula, Implies, Next, Until, WeakNext, WeakUntil
 from reqpat.patterns import (
     Absence, After, AfterUntil, Before, BoundedExistence, Existence, Fails, Globally, Holds, Precedence,
     PrecedenceChain, Requirement, Response, ResponseChain, Scope, Universality,
@@ -202,12 +201,11 @@ def _until(beyond_end: bool):
 
 
 _EVALUATORS = {
-    TrueBool: lambda f, states, memo: [True] * len(states),
-    FalseBool: lambda f, states, memo: [False] * len(states),
-    Prop: lambda f, states, memo: [f.name in state.atoms for state in states],
-    FormulaNot: lambda f, states, memo: [not v for v in _truth_all(f.operand, states, memo)],
-    FormulaAnd: _pointwise(operator.and_),
-    FormulaOr: _pointwise(operator.or_),
+    Const: lambda f, states, memo: [f.value] * len(states),
+    Ref: lambda f, states, memo: [f.name in state.atoms for state in states],
+    Not: lambda f, states, memo: [not v for v in _truth_all(f.inner, states, memo)],
+    And: _pointwise(operator.and_),
+    Or: _pointwise(operator.or_),
     # On truth values, a -> b is a <= b.
     Implies: _pointwise(operator.le),
     Next: lambda f, states, memo: _truth_all(f.operand, states, memo)[1:] + [False],

@@ -413,6 +413,15 @@ def test_a_name_made_only_of_whitespace_exits_2(capsys, tmp_path, condition, req
     _every_command_exits_2(capsys, tmp_path, suite, message)
 
 
+@pytest.mark.parametrize("field", ["source_url", "source_quote", "repo_url"])
+def test_a_meta_string_made_only_of_whitespace_exits_2(capsys, tmp_path, field):
+    suite = tmp_path / "blank_meta.json"
+    suite.write_text(json.dumps({"conditions": {"m": "at_2400"}, "requirements": [
+        {"name": "r", "pattern": {"type": "absence", "p": "m"}, "scope": {"type": "globally"},
+         "meta": {field: "   "}}]}))
+    _every_command_exits_2(capsys, tmp_path, suite, f"requirements[0].meta.{field}: must not be only whitespace")
+
+
 def test_suite_json_nested_100000_deep_exits_2(capsys, tmp_path, clock_suite):
     suite = tmp_path / "deep.json"
     suite.write_text('{"conditions": ' + "[" * 100_000 + "]" * 100_000 + "}")

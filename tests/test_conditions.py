@@ -59,7 +59,7 @@ def test_eval_condition_agrees_with_structural_walk(cond, atoms):
     assert eval_condition(cond, State(atoms)) is truth(cond, atoms)
 
 
-@pytest.mark.parametrize("expr", ["p", ltl.Prop("p")])
+@pytest.mark.parametrize("expr", ["p", ltl.Next(Ref("p"))])
 def test_eval_condition_rejects_non_conditions(expr):
     with pytest.raises(TypeError, match="not a condition"):
         eval_condition(expr, State({"p"}))
@@ -152,7 +152,7 @@ def test_parsing_does_not_recurse():
         formula, condition = ltl.parse(formula_text), parse_condition(condition_text)
     finally:
         sys.setrecursionlimit(limit)
-    assert formula == ltl.Prop("a")
+    assert formula == Ref("a")
     assert format_condition(condition) == "!" * 49 + "a"
 
 
@@ -204,17 +204,23 @@ def test_compile_and_build_are_inverse():
         assert CONDITIONS.build(program, Ref) == cond
 
 
-def test_conditions_embed_into_formulas_token_for_token():
-    rng = random.Random(20261020)
-    for _ in range(500):
-        cond = random_condition(rng, depth=5)
-        assert ltl.print_formula(ltl.condition_formula(cond)) == format_condition(cond)
+@settings(max_examples=300, deadline=None, database=None)
+@given(cond=_conditions(5), states=st.lists(st.frozensets(st.sampled_from(["p", "q", "r"])), min_size=1, max_size=6))
+def test_a_condition_is_a_formula(cond, states):
+    """A condition evaluates as a formula at each position as it does on
+    that position's state, and reads and prints as the same text in both
+    grammars."""
+    trace = Trace.of(*states)
+    for pos, state in enumerate(trace):
+        assert ltl.eval_ltlf(cond, trace, pos) is eval_condition(cond, state)
+    assert ltl.parse(format_condition(cond)) == cond
+    assert ltl.print_formula(cond) == format_condition(cond)
 
 
 @pytest.mark.parametrize(
     "grammar,node,foreign",
-    [(ltl.FORMULAS, ltl.Not(Ref("p")), "not a formula: Ref(name='p')"),
-     (CONDITIONS, Not(ltl.Prop("p")), "not a condition: Prop(name='p')")],
+    [(ltl.FORMULAS, ltl.Next("p"), "not a formula: 'p'"),
+     (CONDITIONS, Not(ltl.Next(Ref("p"))), "not a condition: Next(operand=Ref(name='p'))")],
 )
 def test_compile_names_a_node_of_the_other_family(grammar, node, foreign):
     with pytest.raises(TypeError) as exc_info:

@@ -13,10 +13,10 @@ import pytest
 
 from reqpat.conditions import And as CondAnd
 from reqpat.conditions import Not as CondNot
-from reqpat.conditions import ConditionSyntaxError, MAX_NESTING, Ref, State, Trace, parse_condition
-from reqpat.conditions import Condition, condition_atoms
+from reqpat.conditions import ConditionSyntaxError, Const, MAX_NESTING, Ref, State, Trace, parse_condition
+from reqpat.conditions import Or, condition_atoms
 from reqpat import patterns
-from reqpat.ltl import _TEMPLATES, Prop, UnsupportedPattern, emit_ltl, eval_ltlf, parse, print_formula
+from reqpat.ltl import _TEMPLATES, Formula, UnsupportedPattern, emit_ltl, eval_ltlf, parse, print_formula
 from reqpat.patterns import (
     Absence,
     After,
@@ -235,8 +235,10 @@ def test_unsupported_cells_name_both_tags():
 
 
 def _renamed(formula, names: dict[str, str]):
-    if isinstance(formula, Prop):
-        return Prop(names[formula.name])
+    if isinstance(formula, Ref):
+        return Ref(names[formula.name])
+    if isinstance(formula, Const):
+        return formula
     return type(formula)(*[_renamed(getattr(formula, f.name), names) for f in dataclasses.fields(formula)])
 
 
@@ -338,7 +340,9 @@ def test_condition_chain_of_5000_emits_and_evaluates_without_recursion():
 def test_checking_and_emitting_keep_nothing_on_condition_nodes():
     """A condition node holds only its fields: an attribute kept on it would
     move it off the interpreter's fast path for instance attributes, and
-    every later read of the condition would pay for that."""
+    every later read of the condition would pay for that. An emitted formula
+    roots at a condition's class in some cells, and its evaluation and
+    printing keep nothing on any node of either family either."""
     suite = load_suite(json.dumps({
         "conditions": {"start": "req && !grant", "stop": "done || false", "ok": "!(grant && done) || true"},
         "requirements": [
@@ -347,20 +351,30 @@ def test_checking_and_emitting_keep_nothing_on_condition_nodes():
             {"name": "never", "pattern": {"type": "absence", "p": "stop"}, "scope": {"type": "globally"}},
             {"name": "chain", "pattern": {"type": "precedence_chain", "chain": ["start", "ok"], "p": "stop"},
              "scope": {"type": "before", "r": "stop"}},
+            {"name": "somewhere", "pattern": {"type": "existence", "p": "ok"}, "scope": {"type": "after", "q": "start"}},
+            {"name": "anchored", "pattern": {"type": "existence", "p": "ok"},
+             "scope": {"type": "between", "q": "start", "r": "stop"}},
         ],
     }))
     trace = Trace.of({"req"}, {"grant"}, {"done"}, {"req", "grant", "done"})
+    formulas = []
     for requirement in suite.requirements:
         check(requirement, trace)
         try:
-            emit_ltl(requirement)
+            formulas.append(emit_ltl(requirement))
         except UnsupportedPattern:
             pass
+    assert {type(formula) for formula in formulas} >= {CondAnd, Or}
+    for formula in formulas:
+        eval_ltlf(formula, trace, 0)
+        print_formula(formula)
     for condition in suite.conditions.values():
         condition_atoms(condition)
-    stack = list(suite.conditions.values())
+        eval_ltlf(condition, trace, 1)
+        print_formula(condition)
+    stack = [*suite.conditions.values(), *formulas]
     while stack:
         node = stack.pop()
         names = [field.name for field in dataclasses.fields(node)]
         assert sorted(vars(node)) == sorted(names)
-        stack += [getattr(node, name) for name in names if isinstance(getattr(node, name), Condition)]
+        stack += [getattr(node, name) for name in names if isinstance(getattr(node, name), Formula)]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import sys
@@ -8,21 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reqpat.conditions import MAX_NESTING, Ref, Trace
+from reqpat.conditions import MAX_NESTING, And, Const, Not, Or, Ref, Trace
 from reqpat.patterns import Between, Requirement, Response
 from reqpat import ltl
 from reqpat.ltl import (
     Always,
-    And,
     Eventually,
-    FalseBool,
     Implies,
     LtlSyntaxError,
     Next,
-    Not,
-    Or,
-    Prop,
-    TrueBool,
     Until,
     WeakNext,
     WeakUntil,
@@ -38,31 +33,31 @@ from reference import reference_eval_ltlf
 # --- parsing ----------------------------------------------------------------
 
 def test_parse_always_implies_eventually():
-    assert parse("[](p -> <> s)") == Always(Implies(Prop("p"), Eventually(Prop("s"))))
+    assert parse("[](p -> <> s)") == Always(Implies(Ref("p"), Eventually(Ref("s"))))
 
 
 def test_parse_implies_right_associative():
-    assert parse("p -> q -> r") == Implies(Prop("p"), Implies(Prop("q"), Prop("r")))
+    assert parse("p -> q -> r") == Implies(Ref("p"), Implies(Ref("q"), Ref("r")))
 
 
 def test_parse_until_with_parenthesized_and():
-    assert parse("p U (q && r)") == Until(Prop("p"), And(Prop("q"), Prop("r")))
+    assert parse("p U (q && r)") == Until(Ref("p"), And(Ref("q"), Ref("r")))
 
 
 def test_parse_until_binds_tighter_than_and():
-    assert parse("p U q && r") == And(Until(Prop("p"), Prop("q")), Prop("r"))
+    assert parse("p U q && r") == And(Until(Ref("p"), Ref("q")), Ref("r"))
 
 
 def test_parse_letter_aliases_and_literals():
     assert parse("F p") == parse("<>p")
     assert parse("G p") == parse("[]p")
-    assert parse("true U false") == Until(TrueBool(), FalseBool())
-    assert parse("WX p") == WeakNext(Prop("p"))
+    assert parse("true U false") == Until(Const(True), Const(False))
+    assert parse("WX p") == WeakNext(Ref("p"))
 
 
 def test_parse_unary_binds_tightest():
-    assert parse("!p U q") == Until(Not(Prop("p")), Prop("q"))
-    assert parse("X p && q") == And(Next(Prop("p")), Prop("q"))
+    assert parse("!p U q") == Until(Not(Ref("p")), Ref("q"))
+    assert parse("X p && q") == And(Next(Ref("p")), Ref("q"))
 
 
 def test_parse_error_at_end_of_input():
@@ -79,7 +74,7 @@ def test_parse_errors_carry_position(text, offset):
 
 
 def test_parse_folds_mixed_operator_chains_by_precedence():
-    a, b, c, d, e, f = (Prop(name) for name in "abcdef")
+    a, b, c, d, e, f = (Ref(name) for name in "abcdef")
     assert parse("a -> b || c && d U e W f") == Implies(a, Or(b, And(c, Until(d, WeakUntil(e, f)))))
     assert parse("a U b && c || d -> e") == Implies(Or(And(Until(a, b), c), d), e)
 
@@ -88,7 +83,7 @@ def test_formula_parentheses_nest_at_most_max_nesting_deep():
     def nested(depth: int) -> str:
         return "(" * depth + "a" + ")" * depth
 
-    assert parse(nested(MAX_NESTING)) == Prop("a")
+    assert parse(nested(MAX_NESTING)) == Ref("a")
     with pytest.raises(LtlSyntaxError, match="formula nests too deeply") as exc_info:
         parse(nested(MAX_NESTING + 1))
     assert exc_info.value.position == MAX_NESTING
@@ -103,14 +98,14 @@ def test_each_distinct_atom_is_one_node_per_parse():
 def test_operator_chains_of_1500_terms_parse_without_recursion():
     formula = parse(" && ".join(["a"] * 1500))
     for _ in range(1499):
-        assert isinstance(formula, And) and formula.left == Prop("a")
+        assert isinstance(formula, And) and formula.left == Ref("a")
         formula = formula.right
-    assert formula == Prop("a")
+    assert formula == Ref("a")
     formula = parse("!" * 1500 + "a")
     for _ in range(1500):
         assert isinstance(formula, Not)
-        formula = formula.operand
-    assert formula == Prop("a")
+        formula = formula.inner
+    assert formula == Ref("a")
 
 
 # --- printing ---------------------------------------------------------------
@@ -118,14 +113,14 @@ def test_operator_chains_of_1500_terms_parse_without_recursion():
 @pytest.mark.parametrize(
     "formula,text",
     [
-        (Always(Implies(Prop("p"), Eventually(Prop("s")))), "[](p -> <>s)"),
-        (Prop("p"), "p"),
-        (Until(Prop("p"), And(Prop("q"), Prop("r"))), "p U (q && r)"),
-        (Implies(Implies(Prop("p"), Prop("q")), Prop("r")), "(p -> q) -> r"),
-        (Next(Eventually(Prop("s"))), "X <>s"),
-        (Not(And(Prop("p"), Prop("q"))), "!(p && q)"),
-        (And(Until(Prop("p"), Prop("q")), Prop("r")), "p U q && r"),
-        (WeakUntil(Not(Prop("p")), Prop("s")), "!p W s"),
+        (Always(Implies(Ref("p"), Eventually(Ref("s")))), "[](p -> <>s)"),
+        (Ref("p"), "p"),
+        (Until(Ref("p"), And(Ref("q"), Ref("r"))), "p U (q && r)"),
+        (Implies(Implies(Ref("p"), Ref("q")), Ref("r")), "(p -> q) -> r"),
+        (Next(Eventually(Ref("s"))), "X <>s"),
+        (Not(And(Ref("p"), Ref("q"))), "!(p && q)"),
+        (And(Until(Ref("p"), Ref("q")), Ref("r")), "p U q && r"),
+        (WeakUntil(Not(Ref("p")), Ref("s")), "!p W s"),
     ],
 )
 def test_print_formula_canonical(formula, text):
@@ -180,8 +175,8 @@ def test_expansion_identities_on_random_traces():
         f = random_formula(rng, depth=3)
         g = random_formula(rng, depth=3)
         for pos in range(len(trace)):
-            assert eval_ltlf(Eventually(f), trace, pos) == eval_ltlf(Until(TrueBool(), f), trace, pos)
-            assert eval_ltlf(Always(f), trace, pos) == eval_ltlf(WeakUntil(f, FalseBool()), trace, pos)
+            assert eval_ltlf(Eventually(f), trace, pos) == eval_ltlf(Until(Const(True), f), trace, pos)
+            assert eval_ltlf(Always(f), trace, pos) == eval_ltlf(WeakUntil(f, Const(False)), trace, pos)
             expanded = Or(g, And(f, WeakNext(WeakUntil(f, g))))
             assert eval_ltlf(WeakUntil(f, g), trace, pos) == eval_ltlf(expanded, trace, pos)
 
@@ -224,7 +219,7 @@ def test_bare_temporal_operators_agree_with_the_reference_on_multi_word_traces(o
     carry and eventually's lowest set bit cross word boundaries; runs of
     one truth value come from densities near 0 and 1."""
     rng = random.Random(op.__name__)
-    formula = op(Prop("p")) if op is Eventually else op(Prop("p"), Prop("q"))
+    formula = op(Ref("p")) if op is Eventually else op(Ref("p"), Ref("q"))
     for _ in range(40):
         density = {atom: rng.choice((0.01, 0.3, 0.7, 0.99)) for atom in "pq"}
         length = rng.randint(60, 200)
@@ -240,11 +235,11 @@ def test_compile_and_build_are_inverse():
         formula = _random_dag(rng) if shared else random_formula(rng, depth=6)
         program = ltl.FORMULAS.compile(formula)
         assert ltl.FORMULAS.compile(parse(print_formula(formula))) == program
-        assert ltl.FORMULAS.build(program, Prop) == formula
+        assert ltl.FORMULAS.build(program, Ref) == formula
 
 
 def test_not_chain_of_5000_evaluates_without_recursion():
-    formula = Prop("p")
+    formula = Ref("p")
     for _ in range(5000):
         formula = Not(formula)
     assert eval_ltlf(formula, Trace.of({"p"}, set()), 0) is True
@@ -262,8 +257,8 @@ def test_evaluation_leaves_value_semantics_unchanged():
 
 
 def _count_generations(monkeypatch) -> list:
-    """Start from an empty cache of generated functions and record the
-    program of every function generated from here on."""
+    """Start from empty caches of generated functions and of formula entries,
+    and record the program of every function generated from here on."""
     generated = []
     generate = ltl._generate
 
@@ -273,17 +268,21 @@ def _count_generations(monkeypatch) -> list:
 
     monkeypatch.setattr(ltl, "_generate", counting)
     monkeypatch.setattr(ltl, "_RUNNERS", {})
+    monkeypatch.setattr(ltl, "_DERIVED", {})
     return generated
 
 
-@pytest.mark.parametrize("formula", [Ref("p"), "p", Not(Ref("p"))])
+def _holds_only_its_fields(formula) -> bool:
+    return sorted(vars(formula)) == sorted(field.name for field in dataclasses.fields(formula))
+
+
+@pytest.mark.parametrize("formula", ["p", 1, None])
 def test_eval_rejects_non_formulas_and_caches_nothing(formula, monkeypatch):
     generated = _count_generations(monkeypatch)
     with pytest.raises(TypeError, match="not a formula"):
         eval_ltlf(formula, Trace.of({"p"}), 0)
-    assert "_program" not in getattr(formula, "__dict__", {})
-    assert "_run" not in getattr(formula, "__dict__", {})
     assert generated == []
+    assert ltl._DERIVED == {}
 
 
 def test_two_emissions_of_one_requirement_share_one_generated_function(monkeypatch):
@@ -294,33 +293,30 @@ def test_two_emissions_of_one_requirement_share_one_generated_function(monkeypat
     for trace, expected in ((Trace.of({"q"}, {"p"}, {"s"}, {"r"}), True), (Trace.of({"q", "p"}, {"r"}), False)):
         assert eval_ltlf(first, trace, 0) is expected
         assert eval_ltlf(second, trace, 0) is expected
-    assert len(generated) == 1
-    assert first._run is second._run
+    assert generated == [ltl.FORMULAS.compile(first)]
 
 
 def test_generated_functions_are_cached_up_to_a_bound(monkeypatch):
     generated = _count_generations(monkeypatch)
     trace = Trace.of({"p"}, set())
-    formula = Prop("p")
+    formula = Ref("p")
     programs = []
     for _ in range(ltl._MAX_RUNNERS + 3):
         formula = WeakNext(formula)
         assert eval_ltlf(formula, trace, 1) is True
-        programs.append(formula._program)
+        programs.append(ltl.FORMULAS.compile(formula))
     assert generated == programs
     assert list(ltl._RUNNERS) == programs[3:]
 
 
 def test_threads_sharing_the_cache_generate_each_program_once(monkeypatch):
-    """Threads look up the same programs at once. The cache itself is hit,
-    not `Formula._run`, whose cached_property serializes first accesses on
-    some Python versions only."""
+    """Threads look up the same programs in the cache at once."""
     generated = _count_generations(monkeypatch)
     programs = []
-    formula = Prop("p")
+    formula = Ref("p")
     for _ in range(16):
         formula = WeakNext(formula)
-        programs.append(formula._program)
+        programs.append(ltl.FORMULAS.compile(formula))
     start = threading.Barrier(8)
     runs: list[list] = []
     errors = []
@@ -348,26 +344,89 @@ def test_threads_sharing_the_cache_generate_each_program_once(monkeypatch):
     assert all(run == runs[0] for run in runs)
 
 
-def test_evaluated_formula_survives_pickle_and_copies():
+def test_threads_evaluating_formulas_keep_one_live_entry_each(monkeypatch):
+    """Threads evaluate and print shared formulas, and fresh equal ones that
+    die at once: every answer is right, each program is generated once, and
+    afterwards only the shared formulas have entries."""
+    generated = _count_generations(monkeypatch)
+    shared = [parse(text) for text in ("p U q", "X p || q", "[](p -> <>q)", "!p W q")]
+    trace = Trace.of({"p"}, {"q"}, set())
+    expected = [reference_eval_ltlf(formula, trace) for formula in shared]
+    start = threading.Barrier(8)
+    errors = []
+
+    def work():
+        try:
+            start.wait(timeout=60)
+            for _ in range(50):
+                for formula, truth in zip(shared, expected):
+                    assert [eval_ltlf(formula, trace, pos) for pos in range(len(trace))] == truth
+                    assert eval_ltlf(parse(print_formula(formula)), trace, 0) is truth[0]
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(start.parties)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(generated) == len(shared)
+    assert sorted(ltl._DERIVED) == sorted(map(id, shared))
+
+
+def test_evaluated_formula_survives_pickle_and_copies(monkeypatch):
+    """A clone evaluates the same and finds its function in the cache, and
+    neither the formula nor a clone holds anything but its fields."""
+    generated = _count_generations(monkeypatch)
     formula = parse("[](p -> (q U r)) && !p W X s || <>[]q")
     trace = Trace.of({"p"}, {"q"}, {"r"}, {"q"})
     expected = eval_ltlf(formula, trace, 0)
-    assert "_run" in formula.__dict__
     for clone in (pickle.loads(pickle.dumps(formula)), copy.copy(formula), copy.deepcopy(formula)):
         assert clone == formula and clone is not formula
-        assert "_run" not in clone.__dict__
         assert eval_ltlf(clone, trace, 0) is expected
-        assert clone._run is formula._run
+        assert print_formula(clone) == print_formula(formula)
+        assert _holds_only_its_fields(clone) and _holds_only_its_fields(formula)
+    assert len(generated) == 1
+
+
+def test_a_formula_s_entry_dies_with_it(monkeypatch):
+    _count_generations(monkeypatch)
+    formula = parse("p U (q && X r)")
+    assert eval_ltlf(formula, Trace.of({"p"}, {"q", "r"}), 0) is False
+    assert print_formula(formula) == "p U (q && X r)"
+    assert len(ltl._DERIVED) == 1
+    del formula
+    assert ltl._DERIVED == {}
+
+
+def test_a_stale_entry_is_never_used(monkeypatch):
+    """An entry under a formula's id whose referent is another object, as a
+    dead formula's would be once its id is reused, is replaced, not read."""
+    _count_generations(monkeypatch)
+    formula, other = parse("X p"), parse("p")
+    stale = ltl._Derived(other, ltl._forget)
+    stale.run, stale.rendered = (lambda states, full: 1), ("stale", 0)
+    ltl._DERIVED[id(formula)] = stale
+    assert eval_ltlf(formula, Trace.of({"p"}), 0) is False
+    assert print_formula(formula) == "X p"
+    assert ltl._DERIVED[id(formula)]() is formula
 
 
 def test_print_of_5000_nested_parentheses_does_not_recurse():
-    formula = And(Prop("p"), Prop("q"))
+    formula = And(Ref("p"), Ref("q"))
     for _ in range(4999):
-        formula = And(formula, Prop("q"))
+        formula = And(formula, Ref("q"))
     assert print_formula(formula) == "(" * 4999 + "p && q" + ") && q" * 4999
 
 
-@pytest.mark.parametrize("formula", [Ref("p"), "p", Not(Ref("p"))])
+@pytest.mark.parametrize("formula", ["p", 1, None])
 def test_print_rejects_non_formulas(formula):
     with pytest.raises(TypeError, match="not a formula"):
         print_formula(formula)

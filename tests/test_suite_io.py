@@ -254,6 +254,20 @@ def test_a_name_made_only_of_whitespace_is_refused(blank):
     assert load_suite(suite_text(requirements=[], conditions={f"{blank}m{blank}": "at_2400"})).conditions
 
 
+@pytest.mark.parametrize("blank", [" ", "   ", "\t", " \t "])
+@pytest.mark.parametrize("field", ["source_url", "source_quote", "repo_url"])
+def test_a_meta_string_made_only_of_whitespace_is_refused(field, blank):
+    """Such a link or quote would print as blanks in the report and in the
+    paraphrase; an empty one loads as it did before."""
+    existence = {"type": "existence", "p": "midnight"}
+    with pytest.raises(MalformedSuite) as exc_info:
+        load_suite(_requirement_text(existence, meta={field: blank}))
+    assert str(exc_info.value) == f"requirements[0].meta.{field}: must not be only whitespace"
+    assert load_suite(_requirement_text(existence, meta={field: f"{blank}x{blank}"})).requirements
+    if field != "source_quote":
+        assert getattr(load_suite(_requirement_text(existence, meta={field: ""})).requirements[0].meta, field) == ""
+
+
 @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
 def test_line_breaks_in_names_and_meta_rejected(brk):
     """Names and links are printed inside one output line, so a string that
