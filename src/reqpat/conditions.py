@@ -37,9 +37,15 @@ def require_atom(name: str) -> str:
 class Formula:
     """Base class of the nodes of the formula grammar, `ltl.FORMULAS`: the
     condition classes below are its propositional nodes, and `ltl` adds the
-    temporal ones. A marker only; every node is an immutable value."""
+    temporal ones. Every node is an immutable value. Only a condition has a
+    truth value in one state: the condition classes override `holds`, so a
+    temporal node inside a condition-rooted tree is refused as
+    `condition_atoms` refuses it."""
 
     __slots__ = ()
+
+    def holds(self, state: State) -> bool:
+        raise TypeError(f"not a condition: {self!r}")
 
 
 class Condition(Formula):

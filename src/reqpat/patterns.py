@@ -49,7 +49,10 @@ _VACUOUS = Holds(vacuous=True)
 # resolves a condition once per requirement, before any loop, into x; then
 # `scan.find(x, truth, lo, hi)` is the first position in [lo, hi) where c's
 # truth is `truth`, 1 or 0, and `scan.rfind(x, 1, lo, hi)` the last where c
-# holds, each -1 if none, as `bytes.find` and `rfind` answer. `check` picks
+# holds, each -1 if none, as `bytes.find` and `rfind` answer. A span need
+# not lie inside one segment: the run scan, `_runs`, searches from a
+# segment's start to the end of the last, so a lazy scan may read positions
+# between segments, each at most once per run condition. `check` picks
 # the scan from the trace; `segments` and `evaluate_pattern` always read
 # lazily. Either way `read` rejects a non-condition with TypeError, even one
 # that no scan reaches, and every condition is evaluated by eval_condition,
@@ -144,15 +147,31 @@ def _runs(scan: Scan, cond: Condition, truth: int, bound: int, carved: list[Segm
     """Fails at the start of run `bound` + 1 of consecutive positions of a
     segment where the condition's truth is `truth`, giving `reason` filled
     with that run's number and the bound; otherwise holds, vacuously iff
-    every segment is empty."""
+    every segment is empty.
+
+    One search from a segment's start to the end of the last segment finds
+    the next hit, and every segment that ends at or before it is passed
+    over unsearched. A hit between segments restarts the search at the
+    next segment's start, so a run that begins before a segment counts from
+    there; in the segment that holds the hit, runs are counted as far as
+    its end. So a segment without a hit costs no call, and a lazy scan
+    reads each position at most once."""
     find, x = scan.find, scan.read(cond)
-    for idx, (lo, hi) in enumerate(carved):
-        runs, cursor = 0, lo
-        while (start := find(x, truth, cursor, hi)) >= 0:
+    idx, count, end = 0, len(carved), carved[-1][1] if carved else 0
+    while idx < count and (start := find(x, truth, carved[idx][0], end)) >= 0:
+        while carved[idx][1] <= start:
+            idx += 1
+        lo, hi = carved[idx]
+        if start < lo:
+            continue
+        runs = 0
+        while start >= 0:
             if (runs := runs + 1) > bound:
                 return Fails(idx, start, reason.format(runs, bound))
             if (cursor := find(x, 1 - truth, start + 1, hi)) < 0:
                 break
+            start = find(x, truth, cursor, hi)
+        idx += 1
     return _HOLDS if any(starmap(lt, carved)) else _VACUOUS
 
 

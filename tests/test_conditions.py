@@ -59,9 +59,10 @@ def test_eval_condition_agrees_with_structural_walk(cond, atoms):
     assert eval_condition(cond, State(atoms)) is truth(cond, atoms)
 
 
-@pytest.mark.parametrize("expr", ["p", ltl.Next(Ref("p"))])
+# The last is condition-rooted, and refuses the temporal node it reaches.
+@pytest.mark.parametrize("expr", ["p", ltl.Next(Ref("p")), And(Ref("p"), ltl.Eventually(Ref("q")))])
 def test_eval_condition_rejects_non_conditions(expr):
-    with pytest.raises(TypeError, match="not a condition"):
+    with pytest.raises(TypeError, match="^not a condition: (Next|Eventually|'p')"):
         eval_condition(expr, State({"p"}))
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reqpat.clock import MIDNIGHT, Clock
-from reqpat.conditions import Const, Not, State, Trace, eval_condition
+from reqpat.conditions import And, Const, Not, State, Trace, eval_condition
 from reqpat.harness import (
     NotReached,
     PreconditionViolation,
@@ -12,6 +12,7 @@ from reqpat.harness import (
     establish,
     record,
 )
+from reqpat.ltl import Next
 from reqpat.suite import load_trace, write_trace
 
 
@@ -77,6 +78,12 @@ def test_establish_already_holding_needs_no_ticks():
     clock = Clock()
     assert establish(clock, MIDNIGHT, 2000) == Reached(1440)
     assert establish(clock, MIDNIGHT, 0) == Reached(0)
+
+
+def test_establish_refuses_a_temporal_node_inside_a_condition():
+    with pytest.raises(TypeError) as exc_info:
+        establish(Clock(), And(Not(MIDNIGHT), Next(MIDNIGHT)), 2000)
+    assert str(exc_info.value) == f"not a condition: {Next(MIDNIGHT)!r}"
 
 
 def test_establish_does_not_reset():

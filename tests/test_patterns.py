@@ -10,6 +10,7 @@ import pytest
 
 from reqpat import patterns
 from reqpat.conditions import And, Not, Ref, State, Trace, condition_atoms
+from reqpat.ltl import emit_ltl
 from reqpat.patterns import (
     PATTERNS,
     SCOPES,
@@ -262,6 +263,19 @@ def test_a_pattern_reads_its_conditions_where_the_scope_carves_nothing(pattern, 
         check(req, trace)
     with pytest.raises(TypeError, match="^not a condition: 'x'$"):
         check(Requirement("r", pattern, Globally()), trace)
+
+
+# Existence under between emits a condition-rooted tree, `And` at its root
+# with `Next` and `Until` below, which reads a temporal node in every state.
+CONDITION_ROOTED_FORMULA = emit_ltl(Requirement("e", Existence(P), Between(Q, R)))
+
+
+@pytest.mark.parametrize("trace", [Trace.of({"p"}, {"q"}), load_trace('["p"]\n' * 4)], ids=["built", "loaded"])
+def test_check_refuses_a_temporal_node_inside_a_condition(trace):
+    """The built trace is read position by position, the loaded one by a
+    column build; both refuse the temporal node as `condition_atoms` does."""
+    with pytest.raises(TypeError, match=r"^not a condition: Next\(operand=Until\("):
+        check(Requirement("x", Absence(CONDITION_ROOTED_FORMULA), Globally()), trace)
 
 
 def test_evaluate_pattern_refuses_a_segment_outside_the_trace():
@@ -660,23 +674,52 @@ def test_every_pattern_matches_reference_on_every_short_trace(scope):
                 assert _same_verdict(check(req, checked), want), (pattern, scope, trace)
 
 
-def test_every_pattern_matches_reference_on_random_traces():
-    """Random requirements of all eight patterns on random traces, built and
-    loaded; the loaded ones repeat lines, so they are read through columns."""
-    rng = random.Random(20261020)
+def _random_case(rng: random.Random) -> tuple[Requirement, Trace]:
+    """A requirement of any of the eight patterns and scope, on a short
+    random trace over p, a, b and c."""
     atoms = ("p", "a", "b", "c")
-    for _ in range(2500):
-        trace = random_trace(rng, atoms, max_len=24)
-        p, s = (random_condition(rng, atoms, depth=1) for _ in range(2))
-        chain = [rng.choice([p, s, random_condition(rng, atoms, depth=1)]) for _ in range(rng.randint(1, 3))]
-        pattern = rng.choice([
-            Absence(p), Universality(p), Existence(p), BoundedExistence(p, rng.randint(0, 2)), Precedence(s, p),
-            Response(p, s, strict=rng.random() < 0.5), ResponseChain(p, chain), PrecedenceChain(chain, p),
-        ])
-        req = Requirement("r", pattern, random_scope(rng, atoms))
-        want = reference_check(req, trace)
-        for checked in _built_and_loaded(trace):
-            assert _same_verdict(check(req, checked), want), (req, trace)
+    trace = random_trace(rng, atoms, max_len=24)
+    p, s = (random_condition(rng, atoms, depth=1) for _ in range(2))
+    chain = [rng.choice([p, s, random_condition(rng, atoms, depth=1)]) for _ in range(rng.randint(1, 3))]
+    pattern = rng.choice([
+        Absence(p), Universality(p), Existence(p), BoundedExistence(p, rng.randint(0, 2)), Precedence(s, p),
+        Response(p, s, strict=rng.random() < 0.5), ResponseChain(p, chain), PrecedenceChain(chain, p),
+    ])
+    return Requirement("r", pattern, random_scope(rng, atoms)), trace
+
+
+def _sparse_case(rng: random.Random) -> tuple[Requirement, Trace]:
+    """A run pattern over p, under a scope of a ... b windows or of one
+    segment, on 200 to 400 states: a window of 1 to 5 states opens every
+    few states, and a few runs of p, placed anywhere, straddle window
+    starts and ends."""
+    n = rng.randint(200, 400)
+    states: list[set] = []
+    while len(states) < n:
+        gap, inside = rng.randint(0, 2), rng.randint(0, 4)
+        states += [set() for _ in range(gap)] + [{"a"}] + [set() for _ in range(inside)] + [{"b"}]
+    states = states[:n]
+    for _ in range(rng.randint(1, 4)):
+        start = rng.randrange(n)
+        for k in range(start, min(n, start + rng.randint(1, 6))):
+            states[k].add("p")
+    pattern = rng.choice([Absence(P), Universality(Not(P)), BoundedExistence(P, rng.randint(0, 3))])
+    scope = rng.choice([Between(A, B), AfterUntil(A, B), Globally(), After(A)])
+    return Requirement("r", pattern, scope), Trace.of(*states)
+
+
+def test_every_pattern_matches_reference_on_random_traces():
+    """Random requirements of all eight patterns on short random traces, and
+    run patterns on long traces of many short windows with a few runs,
+    built and loaded; the loaded ones repeat lines, so they are read
+    through columns."""
+    rng = random.Random(20261020)
+    for case, count in ((_random_case, 2500), (_sparse_case, 300)):
+        for _ in range(count):
+            req, trace = case(rng)
+            want = reference_check(req, trace)
+            for checked in _built_and_loaded(trace):
+                assert _same_verdict(check(req, checked), want), (req, trace)
 
 
 def test_reference_segments_are_the_library_s():
@@ -739,7 +782,21 @@ def test_response_patterns_evaluate_conditions_linearly(monkeypatch, pattern, ve
     assert 0 < calls <= per_state * len(trace)
 
 
-# Adversarial traces of length n for the linear-work test, as atom sets by
+def _sparse_runs(n: int) -> list[set]:
+    """q ... r windows of 3 to 5 states, back to back, over the first half;
+    then one whose p-run starts before it opens, p holding nowhere else but
+    once more inside it; then nothing. The last window sits at n / 2, so a
+    read up to it doubles with n."""
+    last = [{"p"}, {"q", "p"}, set(), {"p"}, {"r"}]
+    states, size = [], 3
+    while len(states) + size + 1 <= n // 2:
+        states += [{"q"}] + [set() for _ in range(size - 1)] + [{"r"}]
+        size = 3 + (size - 2) % 3
+    states += [set() for _ in range(n // 2 - len(states))] + last
+    return states + [set() for _ in range(n - len(states))]
+
+
+# Adversarial traces of length n for the linear-work tests, as atom sets by
 # position. Patterns read p, s and the chain link a; scopes read q and r.
 LINEAR_FAMILIES = {
     # A backlog of triggers that one s answers, then one that none answers.
@@ -750,6 +807,7 @@ LINEAR_FAMILIES = {
     # Each p follows, and is followed by, the chain's first link; its second
     # link comes only at the end.
     "almost_chains": lambda n: [{"q"}] + [{"s"} if i % 2 else {"p"} for i in range(n - 2)] + [{"r", "a"}],
+    "sparse_runs": _sparse_runs,
 }
 LINEAR_PATTERNS = [
     Absence(P), Universality(P), Existence(P), BoundedExistence(P, 2), Precedence(S, P), Response(P, S),
@@ -764,7 +822,9 @@ def test_check_reads_linearly_in_every_cell(monkeypatch):
     each family, doubling the trace at most doubles the reads plus C, and a
     trace of n states takes at most K x n reads per condition. Measured at
     n = 200 and 1,000: at most 1.01 reads per state and condition, and 2n's
-    reads exceed twice n's by at most 2."""
+    reads exceed twice n's by at most 4, for universality under `between` on
+    `alternating`, whose p fails between every two windows: the run scan
+    reads each of those positions once."""
     n, K, C = 200, 2, 4
     for pattern, scope, (family, states) in itertools.product(LINEAR_PATTERNS, LINEAR_SCOPES, LINEAR_FAMILIES.items()):
         req = Requirement("r", pattern, scope)
@@ -774,3 +834,70 @@ def test_check_reads_linearly_in_every_cell(monkeypatch):
         cell = (TAGS[type(pattern)], getattr(pattern, "strict", False), TAGS[type(scope)], family, small, large)
         assert large <= 2 * small + C, cell
         assert small <= K * n * len(conditions) and large <= K * 2 * n * len(conditions), cell
+
+
+def _counted_work(monkeypatch, req: Requirement, trace: Trace) -> tuple[int, int, list]:
+    """`check`'s work on a trace read through columns, its scan calls, and
+    its verdict. Each `find` or `rfind` call is charged once and for every
+    position it passes, up to and including its answer or, on a miss, its
+    whole span; each `patterns.eval_condition` call of a column build once."""
+    calls = positions = 0
+
+    def charged(scan, backward: bool):
+        def counted(column, truth, lo, hi):
+            nonlocal calls, positions
+            k = scan(column, truth, lo, hi)
+            calls += 1
+            positions += max(0, hi - lo) if k < 0 else hi - k if backward else k - lo + 1
+            return k
+
+        return staticmethod(counted)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(patterns._Columns, "find", charged(bytes.find, False))
+        patched.setattr(patterns._Columns, "rfind", charged(bytes.rfind, True))
+        reads, verdicts = _counted_reads(patched, [req], trace)
+    return calls + positions + reads, calls, verdicts
+
+
+def _loaded(states: list[set]) -> Trace:
+    trace = load_trace(write_trace(Trace.of(*states)))
+    assert 2 * len(trace._distinct) <= len(trace), "read through columns"
+    return trace
+
+
+def test_check_works_linearly_on_loaded_traces_in_every_cell(monkeypatch):
+    """A loaded trace whose lines repeat is read through columns, where
+    `_counted_work` counts all of `check`'s work. In every cell, on each
+    family, doubling the trace at most doubles the work plus C, and a trace
+    of n states takes at most K x n work per condition. Measured at n = 200
+    and 1,000: at most 1.35 work per state and condition, and 2n's work is
+    at most twice n's less 1."""
+    n, K, C = 200, 2, 4
+    for pattern, scope, (family, states) in itertools.product(LINEAR_PATTERNS, LINEAR_SCOPES, LINEAR_FAMILIES.items()):
+        req = Requirement("r", pattern, scope)
+        conditions = []
+        map_conditions(req, lambda cond: conditions.append(cond) or cond)
+        small, large = (_counted_work(monkeypatch, req, _loaded(states(size)))[0] for size in (n, 2 * n))
+        cell = (TAGS[type(pattern)], getattr(pattern, "strict", False), TAGS[type(scope)], family, small, large)
+        assert large <= 2 * small + C, cell
+        assert small <= K * n * len(conditions) and large <= K * 2 * n * len(conditions), cell
+
+
+@pytest.mark.parametrize("scope", [Between(Q, R), AfterUntil(Q, R)], ids=["between", "after_until"])
+def test_run_patterns_search_only_the_windows_that_hold_a_hit(monkeypatch, scope):
+    """On `sparse_runs` only the last of many windows holds a p, in a run
+    that starts before it opens: the run patterns search once past every
+    window without a hit, so their scan calls do not grow with the trace.
+    Universality of !p hits where p holds, as Absence of p does. The
+    carving is memoized by a first check, so only the pattern is counted."""
+    for pattern in (Absence(P), Universality(Not(P)), BoundedExistence(P, 2)):
+        req = Requirement("r", pattern, scope)
+        counts = []
+        for size in (200, 400, 800):
+            trace = _loaded(_sparse_runs(size))
+            verdict = check(req, trace)
+            _, calls, [again] = _counted_work(monkeypatch, req, trace)
+            assert _same_verdict(again, verdict) and _same_verdict(verdict, reference_check(req, trace))
+            counts.append(calls)
+        assert counts[0] == counts[1] == counts[2] <= 5, (pattern, counts)
