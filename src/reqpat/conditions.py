@@ -121,8 +121,8 @@ class Trace:
     """A finite, possibly empty sequence of states, indexed from 0.
 
     A trace made by `from_codes`, as `suite.load_trace` makes every trace,
-    also keeps its distinct states, `_distinct`, and the index of each
-    position's state among them, `_codes`; a trace built from states has
+    may also keep its distinct states, `_distinct`, and the index of each
+    position's state among them, `_codes`, as bytes; any other trace has
     `_codes` None. `_memo` is a cache that only `patterns` reads and writes.
     None of these is a field, so equality, hash and repr ignore them, and a
     copy or a pickle starts with an empty memo and without codes.
@@ -146,13 +146,17 @@ class Trace:
 
     @classmethod
     def from_codes(cls, distinct: Iterable[State], codes: Iterable[int]) -> "Trace":
-        """The trace holding `distinct[c]` for each code c, in order. It
-        keeps both, so that `patterns.check` can read each condition once
-        per distinct state; codes are bytes while there are at most 256."""
+        """The trace holding `distinct[c]` for each code c, in order. With at
+        most 256 distinct states, and at most half as many as positions, it
+        keeps both, the codes as bytes, so that `patterns.check` reads each
+        condition once per distinct state; otherwise it is like a built one."""
         distinct = tuple(distinct)
-        codes = bytes(codes) if len(distinct) <= 256 else list(codes)
+        if len(distinct) > 256:
+            return cls(map(distinct.__getitem__, codes))
+        codes = bytes(codes)
         trace = cls([distinct[code] for code in codes])
-        trace.__dict__.update(_distinct=distinct, _codes=codes)
+        if 2 * len(distinct) <= len(codes):
+            trace.__dict__.update(_distinct=distinct, _codes=codes)
         return trace
 
     def __len__(self) -> int:
@@ -327,13 +331,17 @@ class Grammar:
                 else:
                     break
                 cls = type(node)
-            if cls is self.atom:
-                write(node.name)
-            elif cls in self.constant_classes and node in self.constant_text:
-                write(self.constant_text[node])
-            else:
-                raise TypeError(f"not a {self.noun}: {node!r}")
+            write(self._leaf(node))
         return "".join(out), deepest
+
+    def _leaf(self, node) -> str:
+        """An atom's name or a constant's token; any other leaf is refused."""
+        cls = type(node)
+        if cls is self.atom:
+            return node.name
+        if cls in self.constant_classes and node in self.constant_text:
+            return self.constant_text[node]
+        raise TypeError(f"not a {self.noun}: {node!r}")
 
     def compile(self, root) -> tuple[tuple, ...]:
         """The tree as a post-order program of (node class, operand, operand)
@@ -341,7 +349,7 @@ class Grammar:
         slots of its operands' instructions, an atom's is its name and a
         constant's its token; absent ones are None. Structurally equal
         subtrees share one slot, and the root is the last instruction."""
-        unary, binary, atom = self.unary, self.binary, self.atom
+        unary, binary = self.unary, self.binary
         program: list[tuple] = []
         slot_of_key: dict[tuple, int] = {}
         slot_of_node: dict[int, int] = {}  # by id(): every node lives on in `root`
@@ -364,12 +372,8 @@ class Grammar:
                     stack.append(operand)
                     continue
                 key = (cls, slot_of_node[id(operand)], None)
-            elif cls is atom:
-                key = (cls, node.name, None)
-            elif cls in self.constant_classes and node in self.constant_text:
-                key = (cls, self.constant_text[node], None)
             else:
-                raise TypeError(f"not a {self.noun}: {node!r}")
+                key = (cls, self._leaf(node), None)
             stack.pop()
             slot = slot_of_key.get(key)
             if slot is None:

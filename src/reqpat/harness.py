@@ -9,7 +9,7 @@ system from an established trigger until the response appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Protocol, runtime_checkable
 
 from .conditions import Condition, State, Trace, eval_condition
@@ -26,28 +26,26 @@ class SutContract(Protocol):
     def observations(self) -> State: ...
 
 
+class _Outcome:
+    """A drive outcome prints as its class name and its one field's value."""
+
+    def __str__(self) -> str:
+        return f"{type(self).__name__}({getattr(self, fields(self)[0].name)})"
+
+
 @dataclass(frozen=True)
-class Reached:
+class Reached(_Outcome):
     steps: int
 
-    def __str__(self) -> str:
-        return f"Reached({self.steps})"
-
 
 @dataclass(frozen=True)
-class NotReached:
+class NotReached(_Outcome):
     bound: int
 
-    def __str__(self) -> str:
-        return f"NotReached({self.bound})"
-
 
 @dataclass(frozen=True)
-class PreconditionViolation:
+class PreconditionViolation(_Outcome):
     tag: str = P_HOLDS
-
-    def __str__(self) -> str:
-        return f"PreconditionViolation({self.tag})"
 
 
 DriveOutcome = Reached | NotReached | PreconditionViolation

@@ -52,11 +52,11 @@ _VACUOUS = Holds(vacuous=True)
 # holds, each -1 if none, as `bytes.find` and `rfind` answer. A span need
 # not lie inside one segment: the run scan, `_runs`, searches from a
 # segment's start to the end of the last, so a lazy scan may read positions
-# between segments, each at most once per run condition. `check` picks
-# the scan from the trace; `segments` and `evaluate_pattern` always read
-# lazily. Either way `read` rejects a non-condition with TypeError, even one
-# that no scan reaches, and every condition is evaluated by eval_condition,
-# whose calls bench/tracing.py counts.
+# between segments, each at most once per run condition. `check` reads a
+# trace that keeps codes through columns; `segments` and `evaluate_pattern`
+# always read lazily. Either way `read` rejects a non-condition with
+# TypeError, even one that no scan reaches, and every condition is
+# evaluated by eval_condition, whose calls bench/tracing.py counts.
 def _checked(cond: Condition) -> Condition:
     if not isinstance(cond, Condition):
         raise TypeError(f"not a condition: {cond!r}")
@@ -65,8 +65,8 @@ def _checked(cond: Condition) -> Condition:
 
 class _Lazy:
     """Reads position by position, up to the first answer: the scan of a
-    trace built from states, often short and checked once, and of loaded
-    lines that seldom repeat."""
+    trace without codes, built from states, often short and checked once,
+    or loaded from lines that seldom repeat."""
 
     __slots__ = ("states",)
 
@@ -96,9 +96,9 @@ class _Lazy:
 
 
 class _Columns:
-    """Reads a condition once per distinct state of a trace made by
-    `Trace.from_codes` into its truth column, one byte per position, spread
-    over the codes in C, and scans the column with `bytes.find` and `rfind`.
+    """Reads a condition once per distinct state of a trace that keeps codes
+    into its truth column, one byte per position, spread over the codes by
+    `bytes.translate`, and scans the column with `bytes.find` and `rfind`.
     Columns are memoized in the trace's `_memo` by the condition's identity,
     so no condition is hashed; the entry keeps it alive."""
 
@@ -113,9 +113,8 @@ class _Columns:
         entry = trace._memo.get(id(cond))
         if entry is None:
             _checked(cond)
-            truth, codes = bytes([eval_condition(cond, state) for state in trace._distinct]), trace._codes
-            column = codes.translate(truth.ljust(256)) if type(codes) is bytes else bytes(map(truth.__getitem__, codes))
-            entry = trace._memo[id(cond)] = (cond, column)
+            truth = bytes([eval_condition(cond, state) for state in trace._distinct])
+            entry = trace._memo[id(cond)] = (cond, trace._codes.translate(truth.ljust(256)))
         return entry[1]
 
 
@@ -493,21 +492,19 @@ def check(req: Requirement, trace: Trace) -> Verdict:
     of an equal scope over the same condition objects, and `load_suite`
     gives each condition name one shared object.
 
-    A trace from `load_trace` whose lines repeat, at most half of them
-    distinct, is read through truth columns: one read per condition and
-    distinct line, shared by every requirement checked on it. `reqpat
-    check` loads only the atoms its suite reads, so there lines that differ
-    only in atoms no condition reads, such as sequence numbers, count as one.
-    Any other trace is read position by position, as `segments` and
-    `evaluate_pattern` always read.
+    A trace that keeps codes (loaded lines that repeat) is read through
+    truth columns: one read per condition and distinct line, shared by every
+    requirement checked on it. `reqpat check` loads only the atoms its suite
+    reads, so there lines that differ only in atoms no condition reads, such
+    as sequence numbers, count as one. Any other trace is read position by
+    position, as `segments` and `evaluate_pattern` always read.
     """
     pattern, scope = req.pattern, req.scope
     if not isinstance(scope, Scope):
         raise TypeError(f"not a scope: {scope!r}")
     if not isinstance(pattern, Pattern):
         raise TypeError(f"not a pattern: {pattern!r}")
-    codes = trace._codes
-    scan = _Lazy(trace) if codes is None or 2 * len(trace._distinct) > len(codes) else _Columns(trace)
+    scan = _Lazy(trace) if trace._codes is None else _Columns(trace)
     # Keyed in `_memo` by the identities of the scope's fields, so no condition
     # tree is hashed; the entry keeps the scope, and so every id in its key, alive.
     key = (type(scope), *map(id, vars(scope).values()))

@@ -333,9 +333,9 @@ def load_trace(text: str, keep: Collection[str] | None = None) -> Trace:
     earliest bad line is the one reported; identical lines share one State.
     A line in the form write_trace writes is read by splitting it between
     its atoms; every other line is decoded as JSON, with the same result.
-    The trace keeps its distinct states and each line's index among them
-    (`Trace.from_codes`), so `patterns.check` reads a condition once per
-    distinct line.
+    Where `Trace.from_codes` keeps them, for lines that repeat, the trace
+    keeps its distinct states and each line's index among them, so
+    `patterns.check` reads a condition once per distinct line.
 
     With `keep`, every line is still validated in full, raising the same
     error, and each state then holds only its line's atoms in `keep`; lines

@@ -539,21 +539,27 @@ def test_check_reads_loaded_lines_that_do_not_repeat_as_it_reads_built_states(mo
     assert [dataclasses.astuple(v) for v in loaded_verdicts] == [dataclasses.astuple(v) for v in built_verdicts]
 
 
-def test_check_reads_repeated_lines_past_256_distinct_once_per_distinct_line(monkeypatch):
-    """600 lines over 300 distinct states, each twice: past 256 distinct
-    lines the codes are a list, and each condition is still read once per
-    distinct line, where the built states are read once per position."""
-    rng = random.Random(12)
-    pool = [State({"p", f"x{i}"}) for i in range(300)]
-    lines = pool + pool
-    rng.shuffle(lines)
-    built = Trace(lines)
+@pytest.mark.parametrize("distinct, lines, keeps", [
+    (3, 6, True), (256, 512, True), (4, 7, False), (257, 514, False), (300, 600, False),
+])
+def test_a_loaded_trace_keeps_codes_only_with_few_distinct_lines_that_repeat(monkeypatch, distinct, lines, keeps):
+    """`lines` lines that cycle through `distinct` states, shuffled. The
+    loaded trace keeps its codes exactly when at most 256 of its lines, and
+    at most half of them, are distinct: `check` then reads each condition
+    once per distinct line, and otherwise exactly as it reads the same
+    states built, once per position."""
+    pool = [State({"p", f"x{i}"}) for i in range(distinct)]
+    states = [pool[k % distinct] for k in range(lines)]
+    random.Random(distinct).shuffle(states)
+    built = Trace(states)
     loaded = load_trace(write_trace(built))
+    assert (loaded._codes is not None) is keeps
     reqs = [Requirement("always_p", Universality(P), Globally()), Requirement("never_q", Absence(Q), Globally())]
     loaded_calls, loaded_verdicts = _counted_reads(monkeypatch, reqs, loaded)
     built_calls, built_verdicts = _counted_reads(monkeypatch, reqs, built)
     assert loaded_verdicts == built_verdicts == [Holds(vacuous=False)] * 2
-    assert (loaded_calls, built_calls) == (2 * 300, 2 * 600)
+    assert built_calls == 2 * lines
+    assert loaded_calls == (2 * distinct if keeps else built_calls)
 
 
 def test_check_carves_a_scope_too_deep_to_hash():
@@ -862,7 +868,7 @@ def _counted_work(monkeypatch, req: Requirement, trace: Trace) -> tuple[int, int
 
 def _loaded(states: list[set]) -> Trace:
     trace = load_trace(write_trace(Trace.of(*states)))
-    assert 2 * len(trace._distinct) <= len(trace), "read through columns"
+    assert trace._codes is not None, "read through columns"
     return trace
 
 

@@ -473,12 +473,22 @@ _WAYS = st.lists(st.frozensets(st.sampled_from(["repeat", "escape", "space after
 @settings(max_examples=300, deadline=None)
 def test_a_trace_spelt_other_ways_loads_as_written(atom_sets, ways):
     """Each distinct line is respelt its own way, the same at every
-    occurrence, so the loaded traces share their distinct states too."""
+    occurrence, so the loaded traces share their distinct states too, and
+    keep the same codes, or none."""
     written = write_trace(Trace(State(atoms) for atoms in atom_sets))
     expected, loaded = load_trace(written), load_trace(_respelt(written, ways))
     assert loaded == expected == Trace(State(atoms) for atoms in atom_sets)
-    assert loaded._distinct == expected._distinct
     assert loaded._codes == expected._codes
+    assert (loaded._codes is None) is (2 * len(set(atom_sets)) > len(atom_sets))
+    if loaded._codes is not None:
+        assert loaded._distinct == expected._distinct
+    for trace in (expected, loaded):
+        assert _shares_equal_states(trace)
+
+
+def _shares_equal_states(trace: Trace) -> bool:
+    """Whether equal states of the trace are one State object."""
+    return len({id(state) for state in trace}) == len(set(trace))
 
 
 @pytest.mark.parametrize("line", ['["P"]', '[""]', '["p"', '["p"]]', '["p"],["q"]'])
@@ -536,7 +546,11 @@ def test_a_trace_loaded_with_only_the_suite_s_atoms_checks_as_the_full_trace(sui
         full, kept = load_trace(text), load_trace(text, keep=keep)
         assert full == trace
         assert [state.atoms for state in kept] == [state.atoms & keep for state in trace]
-        assert len(kept._distinct) == len({state.atoms & keep for state in trace})
+        distinct = len({state.atoms & keep for state in trace})
+        assert (kept._codes is None) is (2 * distinct > len(trace))
+        if kept._codes is not None:
+            assert len(kept._distinct) == distinct
+        assert _shares_equal_states(kept)
         for req in suite.requirements:
             got, want = check(req, kept), check(req, full)
             assert type(got) is type(want) and dataclasses.astuple(got) == dataclasses.astuple(want), req
