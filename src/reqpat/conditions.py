@@ -28,12 +28,6 @@ def is_valid_atom(name: object) -> bool:
     return isinstance(name, str) and ATOM_RE.fullmatch(name) is not None
 
 
-def require_atom(name: str) -> str:
-    if not is_valid_atom(name):
-        raise ValueError(f"invalid atom name: {name!r}")
-    return name
-
-
 class Formula:
     """Base class of the nodes of the formula grammar, `ltl.FORMULAS`: the
     condition classes below are its propositional nodes, and `ltl` adds the
@@ -71,7 +65,8 @@ class Ref(Condition):
     name: str
 
     def __post_init__(self) -> None:
-        require_atom(self.name)
+        if not is_valid_atom(self.name):
+            raise ValueError(f"invalid atom name: {self.name!r}")
 
     def holds(self, state: State) -> bool:
         return self.name in state.atoms

@@ -22,12 +22,12 @@ trace builds every atom's mask, then one assignment per instruction computes
 that subformula's truth at every position as one integer mask. Next is a
 shift, eventually and always take the lowest set bit, and until is one
 addition. Nothing is kept on a node: the function and the printed text are
-kept beside the formula, in an entry that a weak reference ties to it, and
-the function is shared through a small bounded cache keyed by the program,
-so formulas with equal programs, such as two emissions of one requirement,
-generate it once. No expression nests per formula level and neither
-compiling nor generating recurses, so a formula of any depth evaluates;
-printing does not recurse either.
+kept beside the formula, in a bounded table whose entry holds the formula
+itself, and the function is shared through a second bounded table keyed by
+the program, so formulas with equal programs, such as two emissions of one
+requirement, generate it once. No expression nests per formula level and
+neither compiling nor generating recurses, so a formula of any depth
+evaluates; printing does not recurse either.
 
 Emission reads one table of requirement templates: for each (pattern tag,
 scope tag) cell of the `patterns` catalogue, formula text over placeholders
@@ -54,7 +54,6 @@ MAX_NESTING deep.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -135,46 +134,48 @@ def print_formula(formula: Formula) -> str:
 
 # --- what is derived from a formula ------------------------------------------
 #
-# Kept beside a formula, never on it: one entry per formula object, by id,
-# that is a weak reference to it. The reference's callback drops the entry
-# when the formula dies; an entry whose referent is not the object looked up
-# is stale and never used. A copy or a pickle gets an entry of its own.
+# Kept beside a formula, never on it, in two tables. `_DERIVED` maps a
+# formula's id to [formula, run, rendered]: its generated function and its
+# printed text with that text's parenthesis depth, each None until first
+# needed. The first item keeps the formula alive, so its id is not reused
+# while the entry lives. A copy or a pickle gets an entry of its own.
+# `_RUNNERS` maps a program to its generated function, so that equal programs
+# share one. Both are bounded like `re`'s pattern cache, which drops its
+# oldest entry when full: a process evaluates a few dozen distinct formulas
+# (a suite's requirements, the 40 cells of the crosscheck).
 
-class _Derived(weakref.ref):
-    """A formula's entry: its generated function and its printed text with
-    that text's parenthesis depth, each None until first needed."""
-
-    __slots__ = ("key", "run", "rendered")
-
-    def __init__(self, formula: Formula, callback: Callable):
-        super().__init__(formula, callback)
-        self.key, self.run, self.rendered = id(formula), None, None
-
-
-_DERIVED: dict[int, _Derived] = {}
+_DERIVED: dict[int, list] = {}
+_RUNNERS: dict[tuple[tuple, ...], Callable[[tuple, int], int]] = {}
+_MAX_ENTRIES = 64
+_LOCK = threading.Lock()
 
 
-def _forget(entry: _Derived) -> None:
-    if _DERIVED.get(entry.key) is entry:
-        del _DERIVED[entry.key]
+def _cached(table: dict, key, make: Callable):
+    """The table's value for the key, made on a miss. The lock makes the
+    look-up, eviction and insertion one step; evaluation takes it only when
+    a formula's entry or its function is missing."""
+    with _LOCK:
+        value = table.get(key)
+        if value is None:
+            if len(table) >= _MAX_ENTRIES:
+                del table[next(iter(table))]
+            value = table[key] = make()
+    return value
 
 
-def _derived(formula: Formula) -> _Derived:
+def _derived(formula: Formula) -> list:
     """The formula's entry, made on its first use."""
-    entry = _DERIVED.get(id(formula))
-    if entry is None or entry() is not formula:
-        if not isinstance(formula, Formula):
-            raise TypeError(f"not a formula: {formula!r}")
-        entry = _DERIVED[id(formula)] = _Derived(formula, _forget)
-    return entry
+    if not isinstance(formula, Formula):
+        raise TypeError(f"not a formula: {formula!r}")
+    return _cached(_DERIVED, id(formula), lambda: [formula, None, None])
 
 
 def _rendering(formula: Formula) -> tuple[str, int]:
     """The printed text and its parenthesis depth, rendered once."""
     entry = _derived(formula)
-    if entry.rendered is None:
-        entry.rendered = FORMULAS.render(formula)
-    return entry.rendered
+    if entry[2] is None:
+        entry[2] = FORMULAS.render(formula)
+    return entry[2]
 
 
 # --- evaluation --------------------------------------------------------------
@@ -230,27 +231,6 @@ def _generate(program: tuple[tuple, ...]) -> Callable[[tuple, int], int]:
     return namespace["run"]
 
 
-# Generated functions by program. Bounded like `re`'s pattern cache, which
-# drops its oldest entry when full; a process evaluates a few dozen distinct
-# formulas (a suite's requirements, the 40 cells of the crosscheck), and
-# every formula's entry keeps its own function besides. The lock makes the
-# look-up, eviction and insertion one step; it is taken once per formula
-# object, not per evaluation.
-_RUNNERS: dict[tuple[tuple, ...], Callable[[tuple, int], int]] = {}
-_MAX_RUNNERS = 64
-_RUNNERS_LOCK = threading.Lock()
-
-
-def _runner(program: tuple[tuple, ...]) -> Callable[[tuple, int], int]:
-    with _RUNNERS_LOCK:
-        run = _RUNNERS.get(program)
-        if run is None:
-            if len(_RUNNERS) >= _MAX_RUNNERS:
-                del _RUNNERS[next(iter(_RUNNERS))]
-            run = _RUNNERS[program] = _generate(program)
-    return run
-
-
 def eval_ltlf(formula: Formula, trace: Trace, pos: int = 0) -> bool:
     """Evaluate a formula at a position of a nonempty finite trace.
 
@@ -261,18 +241,17 @@ def eval_ltlf(formula: Formula, trace: Trace, pos: int = 0) -> bool:
     the usual derived forms.
     """
     # `_derived`'s look-up, inlined: evaluation is the hot path.
-    entry = _DERIVED.get(id(formula))
-    if entry is None or entry() is not formula:
-        entry = _derived(formula)
+    entry = _DERIVED.get(id(formula)) or _derived(formula)
     states = trace.states
     n = len(states)
     if n == 0:
         raise ValueError("finite-trace semantics requires a nonempty trace")
     if not 0 <= pos < n:
         raise ValueError(f"position {pos} outside trace of length {n}")
-    run = entry.run
+    run = entry[1]
     if run is None:
-        run = entry.run = _runner(FORMULAS.compile(formula))
+        program = FORMULAS.compile(formula)
+        run = entry[1] = _cached(_RUNNERS, program, lambda: _generate(program))
     return bool(run(states, (1 << n) - 1) >> (n - 1 - pos) & 1)
 
 

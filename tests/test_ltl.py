@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -296,79 +298,44 @@ def test_two_emissions_of_one_requirement_share_one_generated_function(monkeypat
     assert generated == [ltl.FORMULAS.compile(first)]
 
 
+def _weak_next_chain(length: int) -> list:
+    """WX p, WX WX p, ...: `length` formulas with distinct programs."""
+    chain, formula = [], Ref("p")
+    for _ in range(length):
+        formula = WeakNext(formula)
+        chain.append(formula)
+    return chain
+
+
 def test_generated_functions_are_cached_up_to_a_bound(monkeypatch):
     generated = _count_generations(monkeypatch)
     trace = Trace.of({"p"}, set())
-    formula = Ref("p")
-    programs = []
-    for _ in range(ltl._MAX_RUNNERS + 3):
-        formula = WeakNext(formula)
+    chain = _weak_next_chain(ltl._MAX_ENTRIES + 3)
+    for formula in chain:
         assert eval_ltlf(formula, trace, 1) is True
-        programs.append(ltl.FORMULAS.compile(formula))
+        assert len(ltl._DERIVED) <= ltl._MAX_ENTRIES
+    programs = [ltl.FORMULAS.compile(formula) for formula in chain]
     assert generated == programs
     assert list(ltl._RUNNERS) == programs[3:]
 
 
-def test_threads_sharing_the_cache_generate_each_program_once(monkeypatch):
-    """Threads look up the same programs in the cache at once."""
-    generated = _count_generations(monkeypatch)
-    programs = []
-    formula = Ref("p")
-    for _ in range(16):
-        formula = WeakNext(formula)
-        programs.append(ltl.FORMULAS.compile(formula))
-    start = threading.Barrier(8)
-    runs: list[list] = []
+def _run_in_threads(work, parties: int = 8) -> None:
+    """Run `work` in `parties` threads that start together, switching as
+    often as the interpreter allows, and fail on any error a thread raised."""
+    start = threading.Barrier(parties)
     errors = []
 
-    def look_up():
+    def run():
         try:
             start.wait(timeout=60)
-            runs.append([ltl._runner(program) for program in programs])
-        except BaseException as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=look_up) for _ in range(start.parties)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert generated == programs
-    assert all(run == runs[0] for run in runs)
-
-
-def test_threads_evaluating_formulas_keep_one_live_entry_each(monkeypatch):
-    """Threads evaluate and print shared formulas, and fresh equal ones that
-    die at once: every answer is right, each program is generated once, and
-    afterwards only the shared formulas have entries."""
-    generated = _count_generations(monkeypatch)
-    shared = [parse(text) for text in ("p U q", "X p || q", "[](p -> <>q)", "!p W q")]
-    trace = Trace.of({"p"}, {"q"}, set())
-    expected = [reference_eval_ltlf(formula, trace) for formula in shared]
-    start = threading.Barrier(8)
-    errors = []
-
-    def work():
-        try:
-            start.wait(timeout=60)
-            for _ in range(50):
-                for formula, truth in zip(shared, expected):
-                    assert [eval_ltlf(formula, trace, pos) for pos in range(len(trace))] == truth
-                    assert eval_ltlf(parse(print_formula(formula)), trace, 0) is truth[0]
+            work()
         except BaseException as exc:  # reported by the assertion below
             errors.append(repr(exc))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work) for _ in range(start.parties)]
+        threads = [threading.Thread(target=run) for _ in range(parties)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -377,8 +344,44 @@ def test_threads_evaluating_formulas_keep_one_live_entry_each(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+def test_threads_sharing_the_cache_generate_each_program_once(monkeypatch):
+    """Threads evaluate fresh formulas with the same programs at once, more
+    of them than the table of entries holds."""
+    generated = _count_generations(monkeypatch)
+    programs = [ltl.FORMULAS.compile(formula) for formula in _weak_next_chain(16)]
+    trace = Trace.of({"p"}, set())
+
+    def evaluate():
+        for formula in _weak_next_chain(16):
+            assert eval_ltlf(formula, trace, 1) is True
+
+    _run_in_threads(evaluate)
+    assert generated == programs
+    assert list(ltl._RUNNERS) == programs
+
+
+def test_threads_evaluating_formulas_keep_one_live_entry_each(monkeypatch):
+    """Threads evaluate and print shared formulas, and fresh equal ones that
+    are dropped at once: every answer is right, each program is generated
+    once, and afterwards the table of entries is within its bound and each
+    entry holds the formula whose id keys it."""
+    generated = _count_generations(monkeypatch)
+    shared = [parse(text) for text in ("p U q", "X p || q", "[](p -> <>q)", "!p W q")]
+    trace = Trace.of({"p"}, {"q"}, set())
+    expected = [reference_eval_ltlf(formula, trace) for formula in shared]
+
+    def work():
+        for _ in range(50):
+            for formula, truth in zip(shared, expected):
+                assert [eval_ltlf(formula, trace, pos) for pos in range(len(trace))] == truth
+                assert eval_ltlf(parse(print_formula(formula)), trace, 0) is truth[0]
+
+    _run_in_threads(work)
     assert len(generated) == len(shared)
-    assert sorted(ltl._DERIVED) == sorted(map(id, shared))
+    assert len(ltl._DERIVED) <= ltl._MAX_ENTRIES
+    assert all(id(entry[0]) == key for key, entry in ltl._DERIVED.items())
 
 
 def test_evaluated_formula_survives_pickle_and_copies(monkeypatch):
@@ -396,27 +399,23 @@ def test_evaluated_formula_survives_pickle_and_copies(monkeypatch):
     assert len(generated) == 1
 
 
-def test_a_formula_s_entry_dies_with_it(monkeypatch):
+def test_an_entry_keeps_its_formula_alive_until_it_is_evicted(monkeypatch):
+    """While a formula's entry lives, the formula does, so its id is never
+    another object's; a full table's newest entry evicts the oldest."""
     _count_generations(monkeypatch)
     formula = parse("p U (q && X r)")
-    assert eval_ltlf(formula, Trace.of({"p"}, {"q", "r"}), 0) is False
-    assert print_formula(formula) == "p U (q && X r)"
-    assert len(ltl._DERIVED) == 1
+    verdict, text = eval_ltlf(formula, Trace.of({"p"}, {"q", "r"}), 0), print_formula(formula)
+    assert (verdict, text) == (False, "p U (q && X r)")
+    key, alive = id(formula), weakref.ref(formula)
     del formula
-    assert ltl._DERIVED == {}
-
-
-def test_a_stale_entry_is_never_used(monkeypatch):
-    """An entry under a formula's id whose referent is another object, as a
-    dead formula's would be once its id is reused, is replaced, not read."""
-    _count_generations(monkeypatch)
-    formula, other = parse("X p"), parse("p")
-    stale = ltl._Derived(other, ltl._forget)
-    stale.run, stale.rendered = (lambda states, full: 1), ("stale", 0)
-    ltl._DERIVED[id(formula)] = stale
-    assert eval_ltlf(formula, Trace.of({"p"}), 0) is False
-    assert print_formula(formula) == "X p"
-    assert ltl._DERIVED[id(formula)]() is formula
+    gc.collect()
+    assert alive() is not None and ltl._DERIVED[key][0] is alive()
+    others = [parse(f"p{i}") for i in range(ltl._MAX_ENTRIES)]
+    for other in others:
+        assert eval_ltlf(other, Trace.of(set()), 0) is False
+    assert [entry[0] for entry in ltl._DERIVED.values()] == others
+    gc.collect()
+    assert alive() is None
 
 
 def test_print_of_5000_nested_parentheses_does_not_recurse():
