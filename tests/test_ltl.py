@@ -418,6 +418,24 @@ def test_an_entry_keeps_its_formula_alive_until_it_is_evicted(monkeypatch):
     assert alive() is None
 
 
+def test_a_stale_entry_is_never_used(monkeypatch):
+    """Formulas of different shapes, each parsed afresh and dropped at once,
+    so that a dead formula's id would soon be a new one's: every formula
+    evaluates and prints as its own, never through another's entry."""
+    _count_generations(monkeypatch)
+    texts = ["X p", "p U q", "!p", "X q", "p && q", "[](p -> <>q)", "!p W q", "p"]
+    trace = Trace.of({"p"}, {"q"}, set())
+    expected = {text: reference_eval_ltlf(parse(text), trace) for text in texts}
+    for round in range(4 * ltl._MAX_ENTRIES):
+        text = texts[round % len(texts)]
+        formula = parse(text)
+        assert print_formula(formula) == text
+        assert [eval_ltlf(formula, trace, pos) for pos in range(len(trace))] == expected[text]
+        del formula
+    assert len(ltl._DERIVED) <= ltl._MAX_ENTRIES
+    assert all(id(entry[0]) == key for key, entry in ltl._DERIVED.items())
+
+
 def test_print_of_5000_nested_parentheses_does_not_recurse():
     formula = And(Ref("p"), Ref("q"))
     for _ in range(4999):
