@@ -10,7 +10,7 @@ system from an established trigger until the response appears.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from .conditions import Condition, State, Trace, eval_condition
 
@@ -69,14 +69,15 @@ def establish(sut: SutContract, cond: Condition, bound: int) -> Reached | NotRea
 
     Does not reset: establishment composes with whatever state the system is
     already in, so successive establish/verify calls chain like a scripted
-    test. Returns Reached(0) without ticking when the condition already
-    holds; NotReached is an ordinary value, not an error.
+    test. The condition is checked once, by the first read, before any tick.
+    Returns Reached(0) without ticking when the condition already holds;
+    NotReached is an ordinary value, not an error.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if eval_condition(cond, sut.observations()):
         return Reached(0)
-    return _tick_until(sut, cond, bound)
+    return _tick_until(sut, cond.holds, bound)
 
 
 def drive_verify_response(
@@ -89,18 +90,25 @@ def drive_verify_response(
     it does not hold, the caller must first establish it, and the violation
     is reported instead of a verdict. The follow-up is strict; at least one
     tick separates trigger and response, so a bound of 0 can never reach.
+    The trigger, then the response, is checked to be a condition before the
+    first read, so a bad one is refused with the system as it was.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if not eval_condition(trigger, sut.observations()):
+    if not (isinstance(trigger, Condition) and isinstance(response, Condition)):
+        bad = response if isinstance(trigger, Condition) else trigger
+        raise TypeError(f"not a condition: {bad!r}")
+    if not trigger.holds(sut.observations()):
         return PreconditionViolation(P_HOLDS)
-    return _tick_until(sut, response, bound)
+    return _tick_until(sut, response.holds, bound)
 
 
-def _tick_until(sut: SutContract, cond: Condition, bound: int) -> Reached | NotReached:
-    """Tick until the condition holds, at most `bound` ticks."""
+def _tick_until(sut: SutContract, holds: Callable[[State], bool], bound: int) -> Reached | NotReached:
+    """Tick until `holds`, a checked condition's bound read, is true of the
+    observations, at most `bound` ticks: one tick, one observation and one
+    read per step."""
     for k in range(1, bound + 1):
         sut.tick()
-        if eval_condition(cond, sut.observations()):
+        if holds(sut.observations()):
             return Reached(k)
     return NotReached(bound)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reqpat.clock import MIDNIGHT, Clock
-from reqpat.conditions import And, Const, Not, State, Trace, eval_condition
+from reqpat.conditions import And, Condition, Const, Not, State, Trace, eval_condition
 from reqpat.harness import (
     NotReached,
     PreconditionViolation,
@@ -180,3 +180,73 @@ def test_negative_arguments_rejected():
         establish(Clock(), MIDNIGHT, -1)
     with pytest.raises(ValueError):
         drive_verify_response(Clock(), Const(True), MIDNIGHT, -1)
+
+
+def test_drive_verify_response_refuses_a_bad_response_before_any_tick():
+    for bound in (0, 5):
+        clock = Clock()
+        clock.minute = 1440
+        with pytest.raises(TypeError) as exc_info:
+            drive_verify_response(clock, MIDNIGHT, "nope", bound)
+        assert str(exc_info.value) == "not a condition: 'nope'"
+        assert clock.minute == 1440
+    # With both bad, the trigger is named: it is checked first.
+    with pytest.raises(TypeError) as exc_info:
+        drive_verify_response(clock, "bad", "nope", 5)
+    assert str(exc_info.value) == "not a condition: 'bad'"
+    assert clock.minute == 1440
+
+
+class CountingCondition(Condition):
+    """A condition that reads as `inner` does and counts its reads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reads = 0
+
+    def holds(self, state):
+        self.reads += 1
+        return self.inner.holds(state)
+
+
+class CountingClock(Clock):
+    def __init__(self, minute=0):
+        super().__init__()
+        self.minute = minute
+        self.ticks = self.observed = 0
+
+    def tick(self):
+        self.ticks += 1
+        super().tick()
+
+    def observations(self):
+        self.observed += 1
+        return super().observations()
+
+
+@pytest.mark.parametrize(
+    "start, bound, outcome",
+    [(1440, 0, Reached(0)), (1437, 10, Reached(3)), (0, 10, NotReached(10)), (1430, 0, NotReached(0))],
+)
+def test_establish_pays_one_tick_one_observation_and_one_read_per_step(start, bound, outcome):
+    clock, cond = CountingClock(start), CountingCondition(MIDNIGHT)
+    assert establish(clock, cond, bound) == outcome
+    ticks = outcome.steps if isinstance(outcome, Reached) else outcome.bound
+    assert (clock.ticks, clock.observed, cond.reads) == (ticks, ticks + 1, ticks + 1)
+
+
+@pytest.mark.parametrize(
+    "trigger, start, bound, outcome, ticks",
+    [
+        (Const(True), 1437, 10, Reached(3), 3),
+        (Const(True), 0, 10, NotReached(10), 10),
+        (Const(True), 1440, 0, NotReached(0), 0),
+        (Const(False), 1437, 10, PreconditionViolation(), 0),
+    ],
+)
+def test_drive_verify_response_reads_the_trigger_once_and_the_response_per_tick(trigger, start, bound, outcome, ticks):
+    clock = CountingClock(start)
+    trigger, response = CountingCondition(trigger), CountingCondition(MIDNIGHT)
+    assert drive_verify_response(clock, trigger, response, bound) == outcome
+    assert (clock.ticks, clock.observed) == (ticks, ticks + 1)
+    assert (trigger.reads, response.reads) == (1, ticks)
